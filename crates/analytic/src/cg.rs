@@ -15,12 +15,28 @@ use serde::{Deserialize, Serialize};
 /// identical no matter how many workers execute it.
 const SPMV_CHUNK: usize = 512;
 
+/// Nonzeros below which [`spmv`] runs on the calling thread at any worker
+/// count. Measured on a 2-vCPU VM (banded test matrices with 9 nonzeros
+/// per row; medians of 9 or 21 batches of 200 products): opening a
+/// two-worker fan-out costs about 50–80 µs, and two workers took 1.4–15×
+/// the one-worker time up to 108k nonzeros, 0.71–1.86× from 144k to 288k
+/// and 0.64–0.99× at 432k and 576k. A CG iteration runs one product, so
+/// the solves of the benchmark designs (a few thousand nonzeros) stay
+/// inline.
+const SPMV_PAR_MIN_NNZ: usize = 1 << 19;
+
 /// `y = A·x` with rows computed in fixed [`SPMV_CHUNK`] blocks distributed
-/// over the pool. Bitwise identical to the serial kernel at any worker
-/// count: each output row is written exactly once, in the same per-row
-/// accumulation order.
+/// over the pool, or inline below [`SPMV_PAR_MIN_NNZ`]. Bitwise identical
+/// to the serial kernel at any worker count: each output row is written
+/// exactly once, in the same per-row accumulation order.
 fn spmv(pool: &ThreadPool, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(y.len(), a.dim(), "output length mismatch");
+    let inline = ThreadPool::single();
+    let pool = if a.nnz() < SPMV_PAR_MIN_NNZ {
+        &inline
+    } else {
+        pool
+    };
     pool.for_each_chunk_mut(y, SPMV_CHUNK, |row0, block| {
         a.multiply_rows_into(x, row0, block);
     });
@@ -377,9 +393,30 @@ mod tests {
     }
 
     #[test]
+    fn pooled_spmv_above_the_inline_floor_is_bitwise_invariant() {
+        // Tridiagonal, 3n - 2 nonzeros: just over SPMV_PAR_MIN_NNZ, so the
+        // row blocks really are spread over the workers.
+        let n = SPMV_PAR_MIN_NNZ / 3 + 2;
+        let a = laplacian_2d(n);
+        assert!(a.nnz() >= SPMV_PAR_MIN_NNZ);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
+        let mut want = vec![0.0; n];
+        spmv(&ThreadPool::single(), &a, &x, &mut want);
+        for w in [2usize, 4, 8] {
+            let mut got = vec![0.0; n];
+            spmv(&ThreadPool::try_new(w).unwrap(), &a, &x, &mut got);
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "w={w}: product bits drifted");
+        }
+    }
+
+    #[test]
     fn pooled_solve_is_bitwise_invariant_in_worker_count() {
-        // Big enough that the SpMV row partition (SPMV_CHUNK) and the
-        // chunked dot reductions both actually split across workers.
+        // A placement-sized system: below the SpMV and reduction inline
+        // floors, so every worker count must take the same inline path.
         let n = 1500;
         let a = laplacian_2d(n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();

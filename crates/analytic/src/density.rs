@@ -19,6 +19,14 @@ use mmp_pool::ThreadPool;
 /// shift.
 const DAMPING: f64 = 0.4;
 
+/// Nodes below which [`SpreadGrid::shift_pooled`] runs on the calling
+/// thread at any worker count. Measured on a 2-vCPU VM (bins as the
+/// placer picks them; medians of 9 or 21 batches of 20 passes): a pass
+/// opens two fan-outs of about 50–80 µs each, and two workers took
+/// 1.06–7.9× the one-worker time up to 6,000 nodes, 0.82–1.13× from 8,000
+/// to 12,000 and 0.57–0.99× from 16,000 to 48,000.
+const SPREAD_PAR_MIN_NODES: usize = 16_384;
+
 /// Per-axis utilization profile of a set of nodes over `nbins` uniform bins
 /// spanning `[lo, hi]`.
 ///
@@ -265,9 +273,10 @@ impl SpreadGrid {
     }
 
     /// [`SpreadGrid::shift`] with the per-strip work distributed over
-    /// `pool` (one task per bin-row, then per bin-column). Strips are
-    /// independent and the scatter back runs sequentially in ascending
-    /// strip order, so the result is bitwise identical at any worker count.
+    /// `pool` (one task per bin-row, then per bin-column), or inline below
+    /// [`SPREAD_PAR_MIN_NODES`]. Strips are independent and the scatter
+    /// back runs sequentially in ascending strip order, so the result is
+    /// bitwise identical at any worker count.
     ///
     /// # Panics
     ///
@@ -283,6 +292,12 @@ impl SpreadGrid {
         assert_eq!(xs.len(), ys.len(), "length mismatch");
         assert_eq!(xs.len(), areas.len(), "length mismatch");
         let n = xs.len();
+        let inline = ThreadPool::single();
+        let pool = if n < SPREAD_PAR_MIN_NODES {
+            &inline
+        } else {
+            pool
+        };
         let mut out_x = xs.to_vec();
 
         // --- x pass, one strip per bin-row --------------------------------
@@ -542,6 +557,27 @@ mod tests {
         for w in [2usize, 4, 8] {
             let pool = ThreadPool::try_new(w).unwrap();
             let (sx, sy) = grid.shift_pooled(&pool, &xs, &ys, &areas, 0.8);
+            let same_x = sx.iter().zip(&bx).all(|(a, b)| a.to_bits() == b.to_bits());
+            let same_y = sy.iter().zip(&by).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same_x && same_y, "w={w}: shifted coordinates drifted");
+        }
+    }
+
+    #[test]
+    fn pooled_shift_above_the_inline_floor_is_bitwise_invariant() {
+        let grid = SpreadGrid::new(0.0, 0.0, 1000.0, 1000.0, 64);
+        let n = SPREAD_PAR_MIN_NODES + 1;
+        let xs: Vec<f64> = (0..n)
+            .map(|i| 500.0 + (i as f64 * 0.37).sin() * 200.0)
+            .collect();
+        let ys: Vec<f64> = (0..n)
+            .map(|i| 500.0 + (i as f64 * 0.71).cos() * 300.0)
+            .collect();
+        let areas: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+        let (bx, by) = grid.shift(&xs, &ys, &areas, 0.5);
+        for w in [2usize, 4] {
+            let pool = ThreadPool::try_new(w).unwrap();
+            let (sx, sy) = grid.shift_pooled(&pool, &xs, &ys, &areas, 0.5);
             let same_x = sx.iter().zip(&bx).all(|(a, b)| a.to_bits() == b.to_bits());
             let same_y = sy.iter().zip(&by).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same_x && same_y, "w={w}: shifted coordinates drifted");

@@ -23,9 +23,10 @@ pub struct ClusterParams {
     /// participates in merging ("size of each group exceeds the size of a
     /// grid").
     pub grid_area: f64,
-    /// Exact greedy pairwise clustering is O(n³); above this many elements
-    /// the cell clusterer switches to the bucketed approximation (macros
-    /// never exceed it in the paper's benchmarks). See `cell_group` docs.
+    /// Exact greedy pairwise clustering needs O(n²) memory and at least
+    /// O(n²) time; above this many elements the cell clusterer switches to
+    /// the bucketed approximation (macros never exceed it in the paper's
+    /// benchmarks). See `cell_group` docs.
     pub exact_limit: usize,
 }
 

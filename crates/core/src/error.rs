@@ -391,6 +391,7 @@ mod tests {
                 region_area: 1.0,
             }),
             PlaceError::Train(TrainError::ZetaMismatch { net: 4, env: 8 }),
+            PlaceError::Train(TrainError::ZeroUpdateInterval),
             PlaceError::Search(SearchError::NoRuns),
             PlaceError::Legalize(LegalizeError::AssignmentMismatch {
                 expected: 3,

@@ -38,11 +38,13 @@ pub struct PlacerConfig {
     /// Independent parallel MCTS runs (1 = the paper's single search;
     /// more runs diversify priors per worker and keep the best result).
     pub ensemble_runs: usize,
-    /// Worker count of the deterministic compute pool shared by batched
-    /// inference, the ensemble fan-out, the CG solver and the density
-    /// spreader. Always explicit — never derived from the machine — and
-    /// bitwise-neutral: any value produces the same placement. `1` (the
-    /// default) runs everything inline.
+    /// Worker count of the deterministic compute pool shared by the
+    /// scoring of training rollouts, batched inference, the ensemble
+    /// fan-out, the CG solver and the density spreader. Always explicit —
+    /// never derived from the machine — and bitwise-neutral: any value
+    /// produces the same placement. `1` (the default) runs everything
+    /// inline, and so does any pooled call whose work falls below that
+    /// kernel's measured spawn break-even.
     #[serde(default = "default_workers")]
     pub workers: usize,
     /// Final cell-placement effort.
@@ -338,8 +340,9 @@ impl MacroPlacer {
         };
         let t0 = budget::now();
         let span = self.obs.span("stage.preprocess");
-        let trainer =
-            Trainer::try_new(design, self.config.trainer.clone())?.with_obs(self.obs.clone());
+        let trainer = Trainer::try_new(design, self.config.trainer.clone())?
+            .with_obs(self.obs.clone())
+            .with_pool(pool);
         drop(span);
         let preprocess = t0.elapsed();
 
@@ -837,6 +840,23 @@ mod tests {
             assert_eq!(err.exit_code(), 10);
             assert!(!err.is_transient());
         }
+    }
+
+    #[test]
+    fn zero_update_interval_is_a_permanent_train_error() {
+        let d = SyntheticSpec::small("update0", 5, 0, 8, 40, 70, false, 2).generate();
+        let mut cfg = fast_config();
+        cfg.trainer.update_every = 0;
+        let err = MacroPlacer::new(cfg).place(&d).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PlaceError::Train(mmp_rl::TrainError::ZeroUpdateInterval)
+            ),
+            "got {err}"
+        );
+        assert_eq!(err.exit_code(), 11);
+        assert!(!err.is_transient());
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! `update_every` (paper: 30) episodes the buffered transitions are replayed
 //! through the network and one optimizer step minimises
 //! L = L_policy + L_value (Eq. 8).
+//!
+//! The episodes between two optimizer steps form an *update window*. The
+//! weights are fixed inside it and scoring draws nothing from the RNG, so
+//! the trainer rolls a whole window out first, in episode order, and then
+//! scores its terminal states together on the compute pool
+//! ([`Trainer::with_pool`]). Results come back in episode order, so the run
+//! is bitwise identical at every worker count.
 
 use crate::agent::Agent;
 use crate::env::PlacementEnv;
@@ -19,6 +26,7 @@ use mmp_geom::Grid;
 use mmp_netlist::{Design, Placement};
 use mmp_nn::{Adam, InferenceCtx, Optimizer};
 use mmp_obs::{field, Obs};
+use mmp_pool::ThreadPool;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -41,6 +49,8 @@ pub enum TrainError {
     /// A checkpoint could not be written, or a resume checkpoint is not
     /// usable for this trainer (wrong network size, impossible progress).
     Checkpoint(CkptError),
+    /// `update_every` is 0: no episode would ever reach an optimizer step.
+    ZeroUpdateInterval,
 }
 
 impl std::fmt::Display for TrainError {
@@ -53,6 +63,9 @@ impl std::fmt::Display for TrainError {
             TrainError::Cluster(e) => write!(f, "clustering failed: {e}"),
             TrainError::Calibration(e) => write!(f, "reward calibration failed: {e}"),
             TrainError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            TrainError::ZeroUpdateInterval => {
+                write!(f, "update_every must be at least 1 episode")
+            }
         }
     }
 }
@@ -88,7 +101,7 @@ type Transition = (Vec<f32>, Vec<f32>, usize, usize, usize, f32);
 pub struct TrainerConfig {
     /// Training episodes.
     pub episodes: usize,
-    /// Agent update interval in episodes (paper: 30).
+    /// Agent update interval in episodes (paper: 30); must be at least 1.
     pub update_every: usize,
     /// Random warm-up episodes for reward calibration (paper: 50).
     pub calibration_episodes: usize,
@@ -248,7 +261,7 @@ impl Eval {
     }
 }
 
-/// The pre-training driver. Owns the coarsened problem; borrowes the design.
+/// The pre-training driver. Owns the coarsened problem; borrows the design.
 pub struct Trainer<'d> {
     design: &'d Design,
     coarse: CoarsenedNetlist,
@@ -256,6 +269,7 @@ pub struct Trainer<'d> {
     config: TrainerConfig,
     evaluator: Eval,
     obs: Obs,
+    pool: ThreadPool,
 }
 
 impl<'d> Trainer<'d> {
@@ -275,7 +289,8 @@ impl<'d> Trainer<'d> {
     }
 
     /// Fallible preparation: returns a typed [`TrainError`] instead of
-    /// panicking on a ζ mismatch or a clustering failure.
+    /// panicking on a ζ mismatch, a zero update interval or a clustering
+    /// failure.
     ///
     /// # Errors
     ///
@@ -286,6 +301,9 @@ impl<'d> Trainer<'d> {
                 net: config.net.zeta,
                 env: config.zeta,
             });
+        }
+        if config.update_every == 0 {
+            return Err(TrainError::ZeroUpdateInterval);
         }
         let grid = Grid::new(*design.region(), config.zeta);
         let initial = if config.prototype_placement {
@@ -311,6 +329,7 @@ impl<'d> Trainer<'d> {
             config,
             evaluator,
             obs: Obs::off(),
+            pool: ThreadPool::single(),
         })
     }
 
@@ -323,6 +342,16 @@ impl<'d> Trainer<'d> {
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self
+    }
+
+    /// Selects the deterministic executor that scores each update window's
+    /// episodes, and the calibration episodes, with the full pipeline. The
+    /// coarse proxy always scores inline: it costs microseconds and its
+    /// cache is serial. Training is bitwise identical at any worker count.
+    #[must_use]
+    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -346,17 +375,27 @@ impl<'d> Trainer<'d> {
         self.evaluator.wirelength(env)
     }
 
-    /// Plays one episode with uniformly-random (availability-weighted)
-    /// actions; returns its wirelength.
-    fn random_episode(&self, env: &mut PlacementEnv<'_>, rng: &mut SmallRng) -> f64 {
-        env.reset();
-        while !env.is_terminal() {
-            let s = env.state();
-            let action = crate::agent::sample_from(&s.s_a, rng)
-                .unwrap_or_else(|| (s.t * 31 + 7) % s.s_a.len());
-            env.step(action);
+    /// Scores terminal states in order. The full pipeline fans out over
+    /// the pool; the coarse proxy runs inline. An episode whose scoring
+    /// would start after `deadline` comes back `None`.
+    fn score(&self, terminals: &[PlacementEnv<'_>], deadline: Option<Instant>) -> Vec<Option<f64>> {
+        let score_one = |k: usize| {
+            if expired(deadline) {
+                return None;
+            }
+            terminals.get(k).map(|env| self.evaluator.wirelength(env))
+        };
+        match self.evaluator {
+            Eval::Coarse(_) => (0..terminals.len()).map(score_one).collect(),
+            Eval::Full(_) => self.pool.run(terminals.len(), score_one),
         }
-        self.evaluator.wirelength(env)
+    }
+
+    /// The episode after the update window that `episode` belongs to
+    /// (`update_every` is at least 1, checked by [`Trainer::try_new`]).
+    fn window_end(&self, episode: usize) -> usize {
+        let every = self.config.update_every;
+        ((episode / every + 1) * every).min(self.config.episodes)
     }
 
     /// Runs calibration + training and returns the outcome.
@@ -374,12 +413,14 @@ impl<'d> Trainer<'d> {
 
     /// Runs calibration + training, stopping early when `deadline` passes.
     ///
-    /// The deadline is checked between episodes: when it expires the loop
-    /// stops, the agent keeps the weights of the last completed optimizer
-    /// step (buffered but not-yet-applied transitions are dropped) and
-    /// [`TrainingHistory::early_stopped`] is set. Optimizer chunks whose
-    /// gradients come back non-finite are rejected wholesale and counted in
-    /// [`TrainingHistory::rejected_updates`].
+    /// An episode's rollout, and its scoring, start only while the deadline
+    /// has not passed. When it expires, the history keeps the longest
+    /// prefix of scored episodes, the agent keeps the weights of the last
+    /// completed optimizer step (the unfinished window's transitions are
+    /// dropped) and [`TrainingHistory::early_stopped`] is set. Optimizer
+    /// chunks whose gradients come back non-finite are rejected wholesale
+    /// and counted in [`TrainingHistory::rejected_updates`]. Calibration
+    /// ignores the deadline.
     ///
     /// # Errors
     ///
@@ -413,7 +454,7 @@ impl<'d> Trainer<'d> {
         resume: Option<TrainCheckpoint>,
         mut sink: Option<TrainCheckpointSink<'_>>,
     ) -> Result<TrainingOutcome, TrainError> {
-        let mut env = PlacementEnv::new(self.design, &self.coarse, self.grid.clone());
+        let start = PlacementEnv::new(self.design, &self.coarse, self.grid.clone());
         let mut ctx = InferenceCtx::new();
         let (mut rng, scale, mut agent, mut opt, mut history, mut checkpoints);
         let (mut chunk_no, mut updates_done, start_episode);
@@ -451,10 +492,12 @@ impl<'d> Trainer<'d> {
             }
             None => {
                 rng = SmallRng::seed_from_u64(self.config.seed ^ 0x7e41);
-                // 1) Random warm-up → reward calibration (Sec. III-E).
-                let samples: Vec<f64> = (0..self.config.calibration_episodes.max(1))
-                    .map(|_| self.random_episode(&mut env, &mut rng))
+                // 1) Random warm-up → reward calibration (Sec. III-E): roll
+                // every warm-up episode out, then score them together.
+                let warmups: Vec<PlacementEnv<'_>> = (0..self.config.calibration_episodes.max(1))
+                    .map(|_| random_rollout(&start, &mut rng))
                     .collect();
+                let samples: Vec<f64> = self.score(&warmups, None).into_iter().flatten().collect();
                 scale = RewardScale::try_calibrate(self.config.reward, &samples)?;
                 agent = Agent::new(self.config.net);
                 opt = Adam::new(self.config.lr);
@@ -466,12 +509,52 @@ impl<'d> Trainer<'d> {
             }
         }
 
-        // 2) A2C training.
-        let mut buffer: Vec<Transition> = Vec::new();
-
-        for episode in start_episode..self.config.episodes {
-            // mmp-lint: allow(wallclock) why: budget-deadline probe; expiry only early-stops onto last-good weights
-            if deadline.is_some_and(|d| Instant::now() >= d) {
+        // 2) A2C training, one update window at a time.
+        let mut episode = start_episode;
+        while episode < self.config.episodes {
+            let end = self.window_end(episode);
+            let mut terminals: Vec<PlacementEnv<'_>> = Vec::new();
+            let mut window_steps: Vec<Vec<StepRecord>> = Vec::new();
+            for _ in episode..end {
+                if expired(deadline) {
+                    break;
+                }
+                let (env, steps) = rollout(&start, &agent, &mut rng, &mut ctx);
+                terminals.push(env);
+                window_steps.push(steps);
+            }
+            let mut buffer: Vec<Transition> = Vec::new();
+            let scores = self.score(&terminals, deadline);
+            for (w, steps) in scores.into_iter().map_while(|w| w).zip(window_steps) {
+                let r = scale.reward(w);
+                history.episode_wirelengths.push(w);
+                history.episode_rewards.push(r);
+                // One branch when observability is off: no formatting, no lock.
+                if self.obs.enabled() {
+                    self.obs.count("rl.episodes", 1);
+                    if self.obs.tracing() {
+                        self.obs.event(
+                            "rl.train",
+                            "episode",
+                            &[
+                                field("episode", episode),
+                                field("wirelength", w),
+                                field("reward", r),
+                            ],
+                        );
+                    }
+                }
+                // The terminal reward is the reward of every step (Sec. III-E).
+                for (s_p, s_a, t, total, action) in steps {
+                    buffer.push((s_p, s_a, t, total, action, r as f32));
+                }
+                episode += 1;
+                // The window's last snapshot waits for its optimizer step.
+                if episode < end {
+                    self.snapshot(&mut checkpoints, episode, &agent);
+                }
+            }
+            if episode < end {
                 history.early_stopped = true;
                 if self.obs.tracing() {
                     self.obs
@@ -479,139 +562,36 @@ impl<'d> Trainer<'d> {
                 }
                 break;
             }
-            env.reset();
-            let mut steps: Vec<StepRecord> = Vec::new();
-            while !env.is_terminal() {
-                let s = env.state();
-                let action = agent.sample_action(&s, &mut rng, &mut ctx);
-                steps.push((s.s_p, s.s_a, s.t, s.total, action));
-                env.step(action);
-            }
-            let w = self.evaluator.wirelength(&env);
-            let r = scale.reward(w);
-            history.episode_wirelengths.push(w);
-            history.episode_rewards.push(r);
-            // One branch when observability is off: no formatting, no lock.
-            if self.obs.enabled() {
-                self.obs.count("rl.episodes", 1);
-                if self.obs.tracing() {
-                    self.obs.event(
-                        "rl.train",
-                        "episode",
-                        &[
-                            field("episode", episode),
-                            field("wirelength", w),
-                            field("reward", r),
-                        ],
-                    );
-                }
-            }
-            // The terminal reward is the reward of every step (Sec. III-E).
-            for (s_p, s_a, t, total, action) in steps {
-                buffer.push((s_p, s_a, t, total, action, r as f32));
-            }
-
-            let mut did_update = false;
-            if (episode + 1) % self.config.update_every == 0 || episode + 1 == self.config.episodes
-            {
-                did_update = true;
-                let net = agent.net_mut();
-                let beta = self.config.entropy_beta;
-                // One batched forward/backward per chunk instead of a
-                // per-transition loop; gradients accumulate across chunks
-                // into the single optimizer step below. Chunking bounds the
-                // activation memory of a whole 30-episode buffer.
-                const MAX_UPDATE_BATCH: usize = 64;
-                for chunk in buffer.chunks(MAX_UPDATE_BATCH) {
-                    let states: Vec<StateRef<'_>> = chunk
-                        .iter()
-                        .map(|(s_p, s_a, t, total, _, _)| StateRef {
-                            s_p,
-                            s_a,
-                            t: *t,
-                            total: *total,
-                        })
-                        .collect();
-                    let targets: Vec<(usize, f32)> = chunk
-                        .iter()
-                        .map(|&(_, _, _, _, action, reward)| (action, reward))
-                        .collect();
-                    // Gradient-health guard: snapshot the accumulated
-                    // gradients, run the chunk, and roll back wholesale if
-                    // any gradient came back NaN/Inf so one poisoned chunk
-                    // cannot corrupt the whole optimizer step.
-                    let mut grad_snapshot: Vec<Vec<f32>> = Vec::new();
-                    net.visit_params(&mut |p| grad_snapshot.push(p.grad.as_slice().to_vec()));
-                    let _ = net.forward_train_batch(&states);
-                    net.backward_batch(&targets, beta);
-                    if self.config.fault_poison_update == Some(chunk_no) {
-                        let mut done = false;
-                        net.visit_params(&mut |p| {
-                            if !done {
-                                if let Some(g) = p.grad.as_mut_slice().first_mut() {
-                                    *g = f32::NAN;
-                                    done = true;
-                                }
-                            }
-                        });
-                    }
-                    let mut healthy = true;
-                    net.visit_params(&mut |p| healthy &= p.grad.is_finite());
-                    if !healthy {
-                        let mut i = 0usize;
-                        net.visit_params(&mut |p| {
-                            if let Some(saved) = grad_snapshot.get(i) {
-                                p.grad.as_mut_slice().copy_from_slice(saved);
-                            }
-                            i += 1;
-                        });
-                        history.rejected_updates += 1;
-                        if self.obs.enabled() {
-                            self.obs.count("rl.rejected_updates", 1);
-                            if self.obs.tracing() {
-                                self.obs.event(
-                                    "rl.train",
-                                    "rejected_update",
-                                    &[field("episode", episode), field("chunk", chunk_no)],
-                                );
-                            }
-                        }
-                    }
-                    chunk_no += 1;
-                }
-                buffer.clear();
-                opt.begin_step();
-                net.visit_params(&mut |p| opt.update(p));
-                net.zero_grad();
-            }
-            if let Some(k) = self.config.checkpoint_every {
-                if (episode + 1) % k == 0 {
-                    checkpoints.push((episode + 1, agent.clone()));
-                }
-            }
-            if did_update {
-                updates_done += 1;
-                if let Some(sink) = sink.as_deref_mut() {
-                    // Only optimizer-step boundaries are safe snapshot
-                    // points: the transition buffer is empty, so the
-                    // checkpoint is the whole training state.
-                    let k = self.config.checkpoint_every.unwrap_or(1).max(1);
-                    if updates_done % k == 0 {
-                        let ck = TrainCheckpoint {
-                            episodes_done: episode + 1,
-                            updates_done,
-                            chunk_no,
-                            rng: rng.state(),
-                            agent: agent.clone(),
-                            optimizer: opt.clone(),
-                            history: history.clone(),
-                            scale: scale.clone(),
-                            snapshots: checkpoints.clone(),
-                        };
-                        sink(&ck)?;
-                        if self.obs.enabled() {
-                            self.obs.count("ckpt.train_writes", 1);
-                        }
+            self.optimizer_step(
+                &mut agent,
+                &mut opt,
+                &buffer,
+                &mut chunk_no,
+                &mut history,
+                end - 1,
+            );
+            self.snapshot(&mut checkpoints, end, &agent);
+            updates_done += 1;
+            if let Some(sink) = sink.as_deref_mut() {
+                // Only optimizer-step boundaries are safe snapshot points:
+                // the transition buffer is empty, so the checkpoint is the
+                // whole training state.
+                let k = self.config.checkpoint_every.unwrap_or(1).max(1);
+                if updates_done % k == 0 {
+                    let ck = TrainCheckpoint {
+                        episodes_done: end,
+                        updates_done,
+                        chunk_no,
+                        rng: rng.state(),
+                        agent: agent.clone(),
+                        optimizer: opt.clone(),
+                        history: history.clone(),
+                        scale: scale.clone(),
+                        snapshots: checkpoints.clone(),
+                    };
+                    sink(&ck)?;
+                    if self.obs.enabled() {
+                        self.obs.count("ckpt.train_writes", 1);
                     }
                 }
             }
@@ -623,6 +603,94 @@ impl<'d> Trainer<'d> {
             scale,
             checkpoints,
         })
+    }
+
+    /// Records `(episodes_done, agent)` when `checkpoint_every` asks for it.
+    fn snapshot(&self, checkpoints: &mut Vec<(usize, Agent)>, episodes_done: usize, agent: &Agent) {
+        if let Some(k) = self.config.checkpoint_every {
+            if episodes_done.is_multiple_of(k) {
+                checkpoints.push((episodes_done, agent.clone()));
+            }
+        }
+    }
+
+    /// One optimizer step over a full window's transitions.
+    ///
+    /// One batched forward/backward per chunk instead of a per-transition
+    /// loop; gradients accumulate across chunks into the single step.
+    /// Chunking bounds the activation memory of a whole 30-episode buffer.
+    fn optimizer_step(
+        &self,
+        agent: &mut Agent,
+        opt: &mut Adam,
+        buffer: &[Transition],
+        chunk_no: &mut usize,
+        history: &mut TrainingHistory,
+        episode: usize,
+    ) {
+        const MAX_UPDATE_BATCH: usize = 64;
+        let net = agent.net_mut();
+        let beta = self.config.entropy_beta;
+        for chunk in buffer.chunks(MAX_UPDATE_BATCH) {
+            let states: Vec<StateRef<'_>> = chunk
+                .iter()
+                .map(|(s_p, s_a, t, total, _, _)| StateRef {
+                    s_p,
+                    s_a,
+                    t: *t,
+                    total: *total,
+                })
+                .collect();
+            let targets: Vec<(usize, f32)> = chunk
+                .iter()
+                .map(|&(_, _, _, _, action, reward)| (action, reward))
+                .collect();
+            // Gradient-health guard: snapshot the accumulated gradients,
+            // run the chunk, and roll back wholesale if any gradient came
+            // back NaN/Inf so one poisoned chunk cannot corrupt the whole
+            // optimizer step.
+            let mut grad_snapshot: Vec<Vec<f32>> = Vec::new();
+            net.visit_params(&mut |p| grad_snapshot.push(p.grad.as_slice().to_vec()));
+            let _ = net.forward_train_batch(&states);
+            net.backward_batch(&targets, beta);
+            if self.config.fault_poison_update == Some(*chunk_no) {
+                let mut done = false;
+                net.visit_params(&mut |p| {
+                    if !done {
+                        if let Some(g) = p.grad.as_mut_slice().first_mut() {
+                            *g = f32::NAN;
+                            done = true;
+                        }
+                    }
+                });
+            }
+            let mut healthy = true;
+            net.visit_params(&mut |p| healthy &= p.grad.is_finite());
+            if !healthy {
+                let mut i = 0usize;
+                net.visit_params(&mut |p| {
+                    if let Some(saved) = grad_snapshot.get(i) {
+                        p.grad.as_mut_slice().copy_from_slice(saved);
+                    }
+                    i += 1;
+                });
+                history.rejected_updates += 1;
+                if self.obs.enabled() {
+                    self.obs.count("rl.rejected_updates", 1);
+                    if self.obs.tracing() {
+                        self.obs.event(
+                            "rl.train",
+                            "rejected_update",
+                            &[field("episode", episode), field("chunk", *chunk_no)],
+                        );
+                    }
+                }
+            }
+            *chunk_no += 1;
+        }
+        opt.begin_step();
+        net.visit_params(&mut |p| opt.update(p));
+        net.zero_grad();
     }
 
     /// Plays one greedy episode with `agent`; returns the grid assignment
@@ -638,6 +706,44 @@ impl<'d> Trainer<'d> {
         let w = self.evaluator.wirelength(&env);
         (env.assignment().to_vec(), w)
     }
+}
+
+/// `true` once `deadline` has passed.
+fn expired(deadline: Option<Instant>) -> bool {
+    // mmp-lint: allow(wallclock) why: budget-deadline probe; expiry only early-stops onto last-good weights
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+/// Plays one episode from `start`, sampling π_θ; returns the terminal
+/// state and the recorded steps.
+fn rollout<'d>(
+    start: &PlacementEnv<'d>,
+    agent: &Agent,
+    rng: &mut SmallRng,
+    ctx: &mut InferenceCtx,
+) -> (PlacementEnv<'d>, Vec<StepRecord>) {
+    let mut env = start.clone();
+    let mut steps = Vec::new();
+    while !env.is_terminal() {
+        let s = env.state();
+        let action = agent.sample_action(&s, rng, ctx);
+        steps.push((s.s_p, s.s_a, s.t, s.total, action));
+        env.step(action);
+    }
+    (env, steps)
+}
+
+/// Plays one episode from `start` with uniformly-random
+/// (availability-weighted) actions; returns the terminal state.
+fn random_rollout<'d>(start: &PlacementEnv<'d>, rng: &mut SmallRng) -> PlacementEnv<'d> {
+    let mut env = start.clone();
+    while !env.is_terminal() {
+        let s = env.state();
+        let action =
+            crate::agent::sample_from(&s.s_a, rng).unwrap_or_else(|| (s.t * 31 + 7) % s.s_a.len());
+        env.step(action);
+    }
+    env
 }
 
 #[cfg(test)]
@@ -882,6 +988,86 @@ mod tests {
             .train_resumable(None, None, Some(&mut sink))
             .unwrap_err();
         assert!(matches!(err, TrainError::Checkpoint(CkptError::Io { .. })));
+    }
+
+    #[test]
+    fn zero_update_interval_is_a_typed_error() {
+        let d = design(15);
+        let mut cfg = TrainerConfig::tiny(4);
+        cfg.update_every = 0;
+        let err = Trainer::try_new(&d, cfg).err().unwrap();
+        assert_eq!(err, TrainError::ZeroUpdateInterval);
+        assert!(err.to_string().contains("update_every"));
+    }
+
+    /// Full evaluation, so scoring goes through the pool, and an update
+    /// interval that does not divide the episode count, so the last
+    /// window is short.
+    fn pooled_trainer(d: &Design, workers: usize) -> Trainer<'_> {
+        let mut cfg = TrainerConfig::tiny(4);
+        cfg.coarse_eval = false;
+        cfg.episodes = 7;
+        cfg.update_every = 3;
+        cfg.calibration_episodes = 3;
+        Trainer::new(d, cfg).with_pool(ThreadPool::try_new(workers).unwrap())
+    }
+
+    fn agent_json(agent: &Agent) -> String {
+        serde_json::to_string(agent).unwrap()
+    }
+
+    #[test]
+    fn pooled_scoring_is_bitwise_invariant_in_worker_count() {
+        let d = design(16);
+        let (base, base_cks) = train_recording(&pooled_trainer(&d, 1));
+        assert_eq!(base.history.episode_rewards.len(), 7);
+        assert_eq!(base_cks.len(), 3, "windows of 3, 3 and 1 episodes");
+        for workers in [2, 4] {
+            let (out, cks) = train_recording(&pooled_trainer(&d, workers));
+            assert_eq!(out.history, base.history, "history at {workers} workers");
+            assert_eq!(out.scale, base.scale, "calibration at {workers} workers");
+            assert_eq!(agent_json(&out.agent), agent_json(&base.agent));
+            let got: Vec<String> = cks
+                .iter()
+                .map(|c| serde_json::to_string(c).unwrap())
+                .collect();
+            let want: Vec<String> = base_cks
+                .iter()
+                .map(|c| serde_json::to_string(c).unwrap())
+                .collect();
+            assert_eq!(got, want, "checkpoints at {workers} workers");
+        }
+    }
+
+    #[test]
+    fn resuming_a_pooled_run_lands_on_the_inline_run() {
+        let d = design(17);
+        let (inline, _) = train_recording(&pooled_trainer(&d, 1));
+        let pooled = pooled_trainer(&d, 2);
+        let (_, taken) = train_recording(&pooled);
+        assert_eq!(taken.len(), 3);
+        for ck in taken {
+            let done = ck.episodes_done;
+            let resumed = pooled.train_resumable(None, Some(ck), None).unwrap();
+            assert_eq!(resumed.history, inline.history, "resumed at episode {done}");
+            assert_eq!(agent_json(&resumed.agent), agent_json(&inline.agent));
+        }
+    }
+
+    #[test]
+    fn expired_deadline_stops_a_pooled_run_like_an_inline_one() {
+        let d = design(18);
+        for workers in [1, 2] {
+            let trainer = pooled_trainer(&d, workers);
+            // mmp-lint: allow(wallclock) why: test constructs an already-expired deadline on purpose
+            let out = trainer.train_with_deadline(Some(Instant::now())).unwrap();
+            assert!(out.history.early_stopped, "{workers} workers");
+            assert!(out.history.episode_rewards.is_empty(), "{workers} workers");
+            assert_eq!(
+                agent_json(&out.agent),
+                agent_json(&Agent::new(AgentConfig::tiny(4)))
+            );
+        }
     }
 
     #[test]

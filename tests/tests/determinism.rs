@@ -117,42 +117,62 @@ fn refine_enabled_flow_is_bitwise_deterministic_across_two_runs() {
 fn pooled_flow_is_bitwise_deterministic_across_two_runs_and_worker_counts() {
     // The compute pool must be bitwise-neutral: with a fixed summation
     // order in every kernel and reduction, a multi-worker run replays
-    // exactly against itself AND against the single-worker flow.
+    // exactly against itself AND against the single-worker flow. The
+    // coarse proxy scores training episodes inline; full evaluation sends
+    // every update window's episodes through the pool.
     let design = SyntheticSpec::small("det_pool", 10, 2, 14, 120, 200, true, 21).generate();
-    let cfg = |workers: usize| {
-        let mut c = small_config();
-        c.workers = workers;
-        c
-    };
-    let (ra, pa) = run_config(&design, cfg(4));
-    let (rb, pb) = run_config(&design, cfg(4));
-    let (rc, _) = run_config(&design, cfg(1));
+    for coarse_eval in [true, false] {
+        let cfg = |workers: usize| {
+            let mut c = small_config();
+            c.workers = workers;
+            c.trainer.coarse_eval = coarse_eval;
+            c
+        };
+        let (ra, pa) = run_config(&design, cfg(4));
+        let (rb, pb) = run_config(&design, cfg(4));
+        let (rc, pc) = run_config(&design, cfg(1));
+        let mode = if coarse_eval { "coarse" } else { "full" };
 
-    assert_eq!(ra.hpwl.to_bits(), rb.hpwl.to_bits(), "HPWL drifted");
-    assert_eq!(
-        ra.hpwl.to_bits(),
-        rc.hpwl.to_bits(),
-        "worker count changed the HPWL bits"
-    );
-    assert_eq!(ra.assignment, rb.assignment, "grid assignment drifted");
-    assert_eq!(
-        ra.assignment, rc.assignment,
-        "worker count changed the assignment"
-    );
-    for i in 0..design.macros().len() {
-        let ca = ra.placement.macro_center(MacroId::from_index(i));
-        let cb = rb.placement.macro_center(MacroId::from_index(i));
-        let cc = rc.placement.macro_center(MacroId::from_index(i));
+        assert_eq!(ra.hpwl.to_bits(), rb.hpwl.to_bits(), "{mode}: HPWL drifted");
         assert_eq!(
-            (ca.x.to_bits(), ca.y.to_bits()),
-            (cb.x.to_bits(), cb.y.to_bits()),
-            "macro {i} moved between pooled runs"
+            ra.hpwl.to_bits(),
+            rc.hpwl.to_bits(),
+            "{mode}: worker count changed the HPWL bits"
         );
         assert_eq!(
-            (ca.x.to_bits(), ca.y.to_bits()),
-            (cc.x.to_bits(), cc.y.to_bits()),
-            "macro {i} moved with the worker count"
+            ra.training, rc.training,
+            "{mode}: worker count changed the training history"
+        );
+        assert_eq!(
+            pa.training, pc.training,
+            "{mode}: worker count changed the training summary"
+        );
+        assert_eq!(
+            ra.assignment, rb.assignment,
+            "{mode}: grid assignment drifted"
+        );
+        assert_eq!(
+            ra.assignment, rc.assignment,
+            "{mode}: worker count changed the assignment"
+        );
+        for i in 0..design.macros().len() {
+            let ca = ra.placement.macro_center(MacroId::from_index(i));
+            let cb = rb.placement.macro_center(MacroId::from_index(i));
+            let cc = rc.placement.macro_center(MacroId::from_index(i));
+            assert_eq!(
+                (ca.x.to_bits(), ca.y.to_bits()),
+                (cb.x.to_bits(), cb.y.to_bits()),
+                "{mode}: macro {i} moved between pooled runs"
+            );
+            assert_eq!(
+                (ca.x.to_bits(), ca.y.to_bits()),
+                (cc.x.to_bits(), cc.y.to_bits()),
+                "{mode}: macro {i} moved with the worker count"
+            );
+        }
+        assert_eq!(
+            pa.counters, pb.counters,
+            "{mode}: observability counters drifted"
         );
     }
-    assert_eq!(pa.counters, pb.counters, "observability counters drifted");
 }
