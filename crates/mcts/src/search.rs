@@ -85,7 +85,8 @@ pub struct SearchStats {
     /// Leaves evaluated by the real legalize-and-place pipeline
     /// (expensive).
     pub terminal_evaluations: usize,
-    /// Nodes allocated in the tree.
+    /// Nodes allocated in the tree over the whole search, including
+    /// those dropped when the root advanced.
     pub nodes: usize,
     /// `true` when the search deadline expired before every group received
     /// its full exploration budget; the remaining groups were committed
@@ -104,11 +105,14 @@ pub struct SearchStats {
 
 /// The complete mid-search state captured after a committed macro group.
 ///
-/// The tree is carried whole: [`SearchTree::advance_root`] reuses the
-/// committed child's subtree across groups, so resuming from the actions
-/// alone would rebuild different statistics. Restoring the tree, the
-/// effort counters and the prior-noise RNG stream makes the continuation
-/// bitwise-identical to an uninterrupted search.
+/// The tree carried is the live subtree: [`SearchTree::advance_root`]
+/// reuses the committed child's subtree across groups and drops every
+/// other node, so the checkpoint holds exactly the statistics the
+/// remaining search can reach (resuming from the actions alone would
+/// rebuild different ones). Restoring the tree, the effort counters and
+/// the prior-noise RNG stream makes the continuation bitwise-identical to
+/// an uninterrupted search. Checkpoints written before compaction, whose
+/// trees still hold every node allocated, resume to the same outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchCheckpoint {
     /// Macro groups committed so far.
@@ -318,13 +322,9 @@ impl MctsPlacer {
                         ),
                     });
                 }
-                if ck.tree.root() >= ck.tree.len() {
+                if let Err(detail) = ck.tree.check() {
                     return Err(CkptError::Invalid {
-                        detail: format!(
-                            "search checkpoint tree root {} is outside its {} nodes",
-                            ck.tree.root(),
-                            ck.tree.len()
-                        ),
+                        detail: format!("search checkpoint tree: {detail}"),
                     });
                 }
                 // Replay the committed prefix through a fresh environment;
@@ -439,7 +439,7 @@ impl MctsPlacer {
         // which re-scores only groups whose center changed since the last
         // call while staying bitwise-equal to a full recompute.
         let wirelength = trainer.wirelength_of(&env);
-        stats.nodes = tree.len();
+        stats.nodes = tree.allocated();
         if self.obs.tracing() {
             self.obs.event(
                 "mcts.search",
@@ -964,6 +964,120 @@ mod tests {
     }
 
     #[test]
+    fn search_checkpoints_hold_only_the_live_subtree() {
+        let (d, cfg) = trained(13, 3);
+        let trainer = Trainer::new(&d, cfg);
+        let out = trainer.train();
+        let placer = MctsPlacer::new(MctsConfig {
+            explorations: 6,
+            ..MctsConfig::default()
+        });
+        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale);
+        for ck in &taken {
+            assert_eq!(ck.tree.root(), 0);
+            assert_eq!(ck.tree.check(), Ok(()));
+            assert!(ck.tree.len() < ck.tree.allocated());
+        }
+        // The last commit advances to a terminal node, which has no
+        // subtree.
+        let last = taken.last().unwrap();
+        assert_eq!(last.tree.len(), 1);
+        assert_eq!(last.tree.allocated(), full.stats.nodes);
+    }
+
+    /// `ck` as a checkpoint written before the tree dropped dead nodes: its
+    /// arena holds every node the search allocated, the dead ones ahead of
+    /// the live subtree, the dead parent of the root still points at it,
+    /// and the tree carries no `dropped` count.
+    fn with_dead_nodes(ck: &SearchCheckpoint) -> SearchCheckpoint {
+        use serde::Value;
+        fn entry<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+            let Value::Map(fields) = v else {
+                panic!("expected a map around {key}")
+            };
+            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+        }
+        let dead = ck.tree.allocated() - ck.tree.len();
+        let depth = ck.tree.node(0).depth;
+        let mut v = ck.serialize();
+        let tree = entry(&mut v, "tree");
+        let Value::Seq(live) = std::mem::replace(entry(tree, "nodes"), Value::Null) else {
+            panic!("tree nodes")
+        };
+        let node = |depth: usize, edges: Value| {
+            Value::Map(vec![
+                ("depth".to_owned(), Value::U64(depth as u64)),
+                ("edges".to_owned(), edges),
+                ("terminal_reward".to_owned(), Value::Null),
+            ])
+        };
+        let mut nodes: Vec<Value> = (1..dead).map(|_| node(depth, Value::Null)).collect();
+        let parent_edge = Value::Map(vec![
+            (
+                "action".to_owned(),
+                Value::U64(*ck.actions.last().unwrap() as u64),
+            ),
+            ("child".to_owned(), Value::U64(dead as u64)),
+            ("n".to_owned(), Value::U64(1)),
+            ("p".to_owned(), Value::F64(1.0)),
+            ("w".to_owned(), Value::F64(0.0)),
+        ]);
+        nodes.push(node(depth - 1, Value::Seq(vec![parent_edge])));
+        for mut n in live {
+            if let Value::Seq(edges) = entry(&mut n, "edges") {
+                for e in edges {
+                    if let Value::U64(c) = entry(e, "child") {
+                        *c += dead as u64;
+                    }
+                }
+            }
+            nodes.push(n);
+        }
+        *entry(tree, "nodes") = Value::Seq(nodes);
+        *entry(tree, "root") = Value::U64(dead as u64);
+        let Value::Map(fields) = tree else {
+            panic!("tree")
+        };
+        fields.retain(|(k, _)| k != "dropped");
+        let old = SearchCheckpoint::deserialize(&v).unwrap();
+        assert_eq!(old.tree.root(), dead);
+        assert_eq!(old.tree.len(), ck.tree.allocated());
+        assert_eq!(old.tree.allocated(), ck.tree.allocated());
+        old
+    }
+
+    #[test]
+    fn checkpoint_with_dead_nodes_resumes_bitwise_identically() {
+        let (d, cfg) = trained(13, 3);
+        let trainer = Trainer::new(&d, cfg);
+        let out = trainer.train();
+        let mcts_cfg = MctsConfig {
+            explorations: 6,
+            ..MctsConfig::default()
+        };
+        let placer = MctsPlacer::new(mcts_cfg.clone());
+        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale);
+        let groups = taken.len();
+        for ck in taken.iter().take(groups.saturating_sub(1)) {
+            let mut ctx = InferenceCtx::new();
+            let resumed = MctsPlacer::new(mcts_cfg.clone())
+                .place_resumable(
+                    &trainer,
+                    &out.agent,
+                    &out.scale,
+                    &mut ctx,
+                    None,
+                    Some(with_dead_nodes(ck)),
+                    None,
+                )
+                .unwrap();
+            assert_eq!(resumed.assignment, full.assignment);
+            assert_eq!(resumed.wirelength.to_bits(), full.wirelength.to_bits());
+            assert_eq!(resumed.stats, full.stats);
+        }
+    }
+
+    #[test]
     fn noisy_interrupted_search_resumes_bitwise_identically() {
         // prior_noise > 0 exercises the RNG stream restore: the resumed
         // search must draw exactly the noise the uninterrupted one did.
@@ -1016,6 +1130,25 @@ mod tests {
         // Action/group count mismatch.
         let mut bad = taken[0].clone();
         bad.groups_done += 1;
+        let err = placer
+            .place_resumable(
+                &trainer,
+                &out.agent,
+                &out.scale,
+                &mut ctx,
+                None,
+                Some(bad),
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, CkptError::Invalid { .. }), "{err}");
+
+        // A tree whose edge points backwards.
+        let mut bad = taken[0].clone();
+        let root = bad.tree.root();
+        if let Some(edge) = bad.tree.node_mut(root).edges.iter_mut().flatten().next() {
+            edge.child = Some(root);
+        }
         let err = placer
             .place_resumable(
                 &trainer,

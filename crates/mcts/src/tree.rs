@@ -43,10 +43,21 @@ pub struct Node {
 }
 
 /// Arena-allocated search tree.
+///
+/// A child is always allocated after its parent, so every edge points to a
+/// larger index than the node it leaves. [`SearchTree::advance_root`]
+/// keeps only the new root's subtree, so after the first committed action
+/// the arena holds exactly the nodes reachable from the root, with the
+/// root at index 0.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchTree {
     nodes: Vec<Node>,
     root: usize,
+    /// Nodes allocated earlier and dropped by [`SearchTree::advance_root`].
+    /// Absent from trees serialized before compaction existed, whose
+    /// arenas still hold every node they allocated.
+    #[serde(default)]
+    dropped: usize,
 }
 
 impl SearchTree {
@@ -60,6 +71,7 @@ impl SearchTree {
                 terminal_reward: None,
             }],
             root: 0,
+            dropped: 0,
         }
     }
 
@@ -68,19 +80,97 @@ impl SearchTree {
         self.root
     }
 
-    /// Moves the root to `child` (tree reuse after committing an action).
+    /// Moves the root to `child` (tree reuse after committing an action)
+    /// and drops every node outside `child`'s subtree.
+    ///
+    /// The survivors keep their edge statistics and are renumbered in
+    /// ascending old-index order; since a child always has a larger index
+    /// than its parent, `child` becomes node 0. Indices held from before
+    /// the call are stale afterwards.
     ///
     /// # Panics
     ///
     /// Panics for an out-of-range node.
     pub fn advance_root(&mut self, child: usize) {
         assert!(child < self.nodes.len(), "node index out of range");
-        self.root = child;
+        // One ascending pass marks the subtree: a node is reached only from
+        // a smaller index, so it is marked before the pass gets to it.
+        let mut live = vec![false; self.nodes.len()];
+        if let Some(mark) = live.get_mut(child) {
+            *mark = true;
+        }
+        for (idx, node) in self.nodes.iter().enumerate().skip(child) {
+            if !live.get(idx).copied().unwrap_or(false) {
+                continue;
+            }
+            for c in node.edges.iter().flatten().filter_map(|e| e.child) {
+                if let Some(mark) = live.get_mut(c) {
+                    *mark = true;
+                }
+            }
+        }
+        let mut kept = 0;
+        let renumber: Vec<Option<usize>> = live
+            .iter()
+            .map(|&l| {
+                l.then(|| {
+                    kept += 1;
+                    kept - 1
+                })
+            })
+            .collect();
+        let old_nodes = std::mem::take(&mut self.nodes);
+        self.dropped += old_nodes.len() - kept;
+        self.nodes = old_nodes
+            .into_iter()
+            .zip(live)
+            .filter(|&(_, l)| l)
+            .map(|(mut node, _)| {
+                for edge in node.edges.iter_mut().flatten() {
+                    edge.child = edge.child.and_then(|c| renumber.get(c).copied().flatten());
+                }
+                node
+            })
+            .collect();
+        self.root = 0;
     }
 
-    /// Total node count.
+    /// Node count of the arena: after the first [`SearchTree::advance_root`]
+    /// exactly the nodes reachable from the root.
     pub fn len(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Nodes allocated over the tree's lifetime, including those
+    /// [`SearchTree::advance_root`] dropped.
+    pub fn allocated(&self) -> usize {
+        self.dropped + self.nodes.len()
+    }
+
+    /// Checks the invariants a deserialized tree must meet before it is
+    /// searched: the root is in range, and every edge leads to a node in
+    /// range with a larger index than the node it leaves.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation.
+    pub fn check(&self) -> Result<(), String> {
+        let len = self.nodes.len();
+        if self.root >= len {
+            return Err(format!("root {} is outside its {len} nodes", self.root));
+        }
+        for (idx, node) in self.nodes.iter().enumerate() {
+            if let Some(c) = node
+                .edges
+                .iter()
+                .flatten()
+                .filter_map(|e| e.child)
+                .find(|&c| c <= idx || c >= len)
+            {
+                return Err(format!("node {idx} has an edge to node {c} of {len}"));
+            }
+        }
+        Ok(())
     }
 
     /// `true` when the tree holds no nodes (never the case after `new`).
@@ -240,13 +330,116 @@ mod tests {
         assert_eq!(t.visit_sum(c), 2);
     }
 
+    /// A tree grown by `walks` seeded descents from the root, each
+    /// expanding the leaf it reaches and backpropagating a value.
+    fn grown(seed: u64, walks: usize) -> SearchTree {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut t = SearchTree::new();
+        for _ in 0..walks {
+            let mut node = t.root();
+            let mut path = Vec::new();
+            while t.node(node).edges.is_some() && path.len() < 6 {
+                let width = t.node(node).edges.as_ref().unwrap().len();
+                let edge = next(width as u64) as usize;
+                path.push((node, edge));
+                node = t.child_of(node, edge);
+            }
+            if t.node(node).edges.is_none() {
+                let width = 1 + next(4) as usize;
+                let priors: Vec<f32> = (0..width).map(|i| 1.0 / (i + 1) as f32).collect();
+                t.expand(node, &priors);
+            }
+            t.backpropagate(&path, next(1000) as f64 / 1000.0);
+        }
+        t
+    }
+
+    /// Nodes reachable from `idx`, itself included.
+    fn reachable(t: &SearchTree, idx: usize) -> usize {
+        let children = t.node(idx).edges.iter().flatten().filter_map(|e| e.child);
+        1 + children.map(|c| reachable(t, c)).sum::<usize>()
+    }
+
+    /// Asserts that the subtrees under `a` in `ta` and `b` in `tb` match
+    /// node for node: depth, terminal reward, and every edge's action, N,
+    /// P and W.
+    fn assert_same_subtree(ta: &SearchTree, a: usize, tb: &SearchTree, b: usize) {
+        let (na, nb) = (ta.node(a), tb.node(b));
+        assert_eq!(na.depth, nb.depth);
+        assert_eq!(na.terminal_reward, nb.terminal_reward);
+        assert_eq!(na.edges.is_some(), nb.edges.is_some());
+        let (ea, eb) = (na.edges.iter().flatten(), nb.edges.iter().flatten());
+        for (x, y) in ea.zip(eb) {
+            assert_eq!(
+                (x.action, x.n, x.p.to_bits()),
+                (y.action, y.n, y.p.to_bits())
+            );
+            assert_eq!(x.w.to_bits(), y.w.to_bits());
+            assert_eq!(x.child.is_some(), y.child.is_some());
+            if let (Some(ca), Some(cb)) = (x.child, y.child) {
+                assert_same_subtree(ta, ca, tb, cb);
+            }
+        }
+    }
+
     #[test]
-    fn advance_root_moves_subtree_focus() {
+    fn advance_root_keeps_exactly_the_live_subtree() {
+        for seed in 0..40 {
+            let mut t = grown(seed, 80);
+            // Descend twice: the second advance runs on a compacted arena.
+            for _ in 0..2 {
+                let root = t.root();
+                let Some(child) = t
+                    .node(root)
+                    .edges
+                    .iter()
+                    .flatten()
+                    .filter_map(|e| e.child)
+                    .max()
+                else {
+                    break;
+                };
+                let before = t.clone();
+                t.advance_root(child);
+                assert_eq!(t.root(), 0);
+                assert_eq!(t.len(), reachable(&before, child), "seed {seed}");
+                assert_eq!(t.allocated(), before.allocated());
+                assert_eq!(t.check(), Ok(()));
+                assert_same_subtree(&before, child, &t, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn advance_root_to_a_leaf_leaves_one_node() {
+        let mut t = SearchTree::new();
+        t.expand(0, &[0.5, 0.5]);
+        let a = t.child_of(0, 0);
+        let b = t.child_of(0, 1);
+        t.expand(a, &[1.0]);
+        let _ = t.child_of(a, 0);
+        t.advance_root(b);
+        assert_eq!((t.root(), t.len(), t.allocated()), (0, 1, 4));
+        assert_eq!(t.node(0).depth, 1);
+    }
+
+    #[test]
+    fn check_rejects_edges_that_do_not_point_forward() {
         let mut t = SearchTree::new();
         t.expand(0, &[1.0]);
         let c = t.child_of(0, 0);
-        t.advance_root(c);
-        assert_eq!(t.root(), c);
+        t.expand(c, &[1.0]);
+        assert_eq!(t.check(), Ok(()));
+        t.node_mut(c).edges.as_mut().unwrap()[0].child = Some(0);
+        assert!(t.check().is_err());
+        t.node_mut(c).edges.as_mut().unwrap()[0].child = Some(9);
+        assert!(t.check().is_err());
     }
 
     #[test]

@@ -774,6 +774,11 @@ impl Server {
     }
 
     fn serve_connection(&self, stream: TcpStream) {
+        // Replies leave in one write (newline included) on a socket with
+        // Nagle's algorithm off: a reply split across writes would wait for
+        // the client's delayed ACK, about 40 ms on Linux. Without the option
+        // replies are only slower, so failing to set it is not fatal.
+        let _ = stream.set_nodelay(true);
         let reader = match stream.try_clone() {
             Ok(r) => BufReader::new(r),
             Err(_) => {
@@ -796,10 +801,10 @@ impl Server {
                 continue;
             }
             self.lock_jobs().active_requests += 1;
-            let response = self.handle_request(&line);
+            let mut response = self.handle_request(&line);
+            response.push('\n');
             let wrote = writer
                 .write_all(response.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
                 .and_then(|()| writer.flush());
             {
                 let mut g = self.lock_jobs();

@@ -612,6 +612,35 @@ mod tests {
     }
 
     #[test]
+    fn inline_bookshelf_near_the_cap_parses_in_linear_time() {
+        // 1000 KiB of Bookshelf-like text in 64-byte lines; its escaped
+        // request line stays under the cap. A parser that re-validates the
+        // rest of the input per character takes tens of seconds here.
+        let text: String = (0..16_000)
+            .map(|i| format!("{:<63}\n", format!("  o{i} 40 40 terminal")))
+            .collect();
+        assert_eq!(text.len(), 1000 * 1024);
+        let line = render(&Value::Map(vec![
+            ("op".to_owned(), Value::Str("place".to_owned())),
+            ("id".to_owned(), Value::Str("big".to_owned())),
+            (
+                "design".to_owned(),
+                Value::Map(vec![("bookshelf".to_owned(), Value::Str(text.clone()))]),
+            ),
+        ]));
+        assert!(line.len() <= MAX_REQUEST_BYTES, "{} bytes", line.len());
+        // mmp-lint: allow(wallclock) why: test times the parse itself; no placement decision reads it
+        let start = std::time::Instant::now();
+        let req = JobRequest::parse(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "parse took {elapsed:?}"
+        );
+        assert_eq!(req.design, Some(DesignSpec::Bookshelf { text }));
+    }
+
+    #[test]
     fn design_specs_materialize_deterministically() {
         let spec = DesignSpec::Synthetic {
             counts: [5, 0, 8, 40, 70],

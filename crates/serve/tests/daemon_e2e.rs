@@ -311,6 +311,35 @@ fn client_disconnect_mid_job_does_not_lose_the_job() {
 }
 
 #[test]
+fn replies_on_one_connection_do_not_wait_for_delayed_acks() {
+    // A reply sent as two segments (body, then "\n") on a socket with
+    // Nagle's algorithm on waits for the client's delayed ACK, about
+    // 40 ms per request on Linux: 20 requests would take 800 ms or more.
+    let state = tmp("nodelay");
+    let daemon = Daemon::spawn(&state, &["--workers", "1"]);
+    let mut stream = TcpStream::connect(&daemon.addr).expect("connect mmpd");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let start = Instant::now();
+    for _ in 0..20 {
+        stream
+            .write_all(b"{\"op\":\"status\"}\n")
+            .expect("send status");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read status");
+        assert!(line.contains(r#""state":"running""#), "{line}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "20 status round trips took {elapsed:?}"
+    );
+    drop(reader);
+    drop(stream);
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn bad_flags_are_usage_errors_and_bind_failures_are_io_errors() {
     let out = Command::new(env!("CARGO_BIN_EXE_mmpd"))
         .args(["--bogus-flag", "x"])

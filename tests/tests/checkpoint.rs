@@ -142,6 +142,27 @@ fn resume_on_an_empty_directory_runs_fresh() {
 }
 
 #[test]
+fn last_search_checkpoint_holds_only_the_terminal_node() {
+    // Each search checkpoint carries the live subtree under the committed
+    // action; after the last group that is a single terminal node, while
+    // the run's node count still covers every node the search allocated.
+    let design = small_design("it_ck_live", 25);
+    let dir = ckpt_dir("live");
+    let result = MacroPlacer::new(small_config())
+        .with_checkpoints(CheckpointPlan::new(&dir))
+        .place(&design)
+        .unwrap();
+    let payload = mmp_ckpt::read(&dir.join("search.ckpt")).unwrap();
+    let json = payload.get(8..).expect("fingerprint-prefixed payload");
+    let ck: mmp_mcts::SearchCheckpoint = serde_json::from_slice(json).unwrap();
+    assert_eq!(ck.groups_done, result.assignment.len());
+    assert_eq!((ck.tree.root(), ck.tree.len()), (0, 1));
+    assert_eq!(ck.tree.allocated(), result.mcts_stats.nodes);
+    assert!(result.mcts_stats.nodes > 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn damaged_checkpoints_are_typed_errors_never_panics() {
     let design = small_design("it_ck_damage", 25);
     let cfg = small_config();
