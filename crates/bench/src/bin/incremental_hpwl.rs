@@ -172,8 +172,7 @@ fn main() {
     let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     println!("\nminimum single-macro delta-eval speedup: {min_speedup:.1}x");
 
-    // Paper-scale reference, matching the `incremental_hpwl` criterion
-    // bench: at thousands of nets the touched-nets fraction per macro is
+    // Paper-scale reference: at thousands of nets the touched-nets fraction per macro is
     // small and the delta eval pulls well clear of the full pass (the
     // scaled rows above keep shrinking with MMP_SCALE and converge on the
     // O(#nets) re-sum floor instead).

@@ -31,7 +31,6 @@ pub mod fallback;
 pub mod flip;
 pub mod flow;
 pub mod median;
-pub mod refine;
 pub mod sequence_pair;
 pub mod swap_refine;
 
@@ -40,6 +39,5 @@ pub use fallback::{shelf_pack, ShelfItem, ShelfOutcome, ShelfPlacement};
 pub use flip::{optimize_orientations, FlipOutcome};
 pub use flow::{LegalizeError, LegalizeOutcome, MacroLegalizer};
 pub use median::{optimize_axis, weighted_median, AxisTarget};
-pub use refine::{BoundaryRefiner, RefineOutcome};
 pub use sequence_pair::{Relation, SequencePair};
 pub use swap_refine::{SwapRefineConfig, SwapRefineOutcome, SwapRefiner};

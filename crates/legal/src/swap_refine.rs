@@ -197,7 +197,7 @@ impl SwapRefiner {
 mod tests {
     use super::*;
     use mmp_geom::Grid;
-    use mmp_netlist::SyntheticSpec;
+    use mmp_netlist::{DesignBuilder, NodeRef, SyntheticSpec};
 
     fn legal_start(seed: u64) -> (Design, Placement) {
         let d = SyntheticSpec::small("sr", 8, 1, 10, 80, 140, true, seed).generate();
@@ -266,6 +266,84 @@ mod tests {
         assert_eq!(out.proposed, 0);
         assert_eq!(out.placement, pl);
         assert_eq!(out.hpwl_after.to_bits(), out.hpwl_before.to_bits());
+    }
+
+    /// One movable macro netted to a pad on the left edge.
+    fn macro_and_left_pad() -> (Design, MacroId) {
+        let mut b = DesignBuilder::new("pull", Rect::new(0.0, 0.0, 100.0, 100.0));
+        let m = b.add_macro("m", 10.0, 10.0, "");
+        let p = b.add_pad("p", Point::new(0.0, 50.0));
+        b.add_net(
+            "n",
+            [
+                (NodeRef::Macro(m), Point::ORIGIN),
+                (NodeRef::Pad(p), Point::ORIGIN),
+            ],
+            1.0,
+        )
+        .unwrap();
+        (b.build().unwrap(), m)
+    }
+
+    #[test]
+    fn relocation_pulls_a_center_macro_toward_its_pad() {
+        let (d, m) = macro_and_left_pad();
+        let mut pl = Placement::initial(&d);
+        pl.set_macro_center(m, Point::new(50.0, 50.0));
+        let out = SwapRefiner::new(SwapRefineConfig::default()).refine(&d, &pl, None);
+        assert!(out.relocations >= 1, "expected an accepted relocation");
+        assert_eq!(out.swaps, 0, "a lone macro has no swap partner");
+        assert!(out.hpwl_after < out.hpwl_before);
+        assert!(
+            out.placement.macro_center(m).x < 50.0,
+            "macro should move toward the left pad, got {}",
+            out.placement.macro_center(m)
+        );
+    }
+
+    #[test]
+    fn a_macro_already_beside_its_pad_is_left_alone() {
+        let (d, m) = macro_and_left_pad();
+        let mut pl = Placement::initial(&d);
+        // Touching the left edge at the pad's height: no legal center is
+        // strictly closer to the pad.
+        pl.set_macro_center(m, Point::new(5.0, 50.0));
+        let out = SwapRefiner::new(SwapRefineConfig::default()).refine(&d, &pl, None);
+        assert_eq!(out.accepted, 0);
+        assert_eq!(out.placement, pl);
+        assert_eq!(out.hpwl_after.to_bits(), out.hpwl_before.to_bits());
+    }
+
+    #[test]
+    fn crossed_macros_in_a_full_region_are_swapped() {
+        // Two half-region macros each netted to the pad on the far side.
+        // The region is full, so no relocation fits and only a swap helps.
+        let mut b = DesignBuilder::new("cross", Rect::new(0.0, 0.0, 100.0, 40.0));
+        let left = b.add_macro("left", 50.0, 40.0, "");
+        let right = b.add_macro("right", 50.0, 40.0, "");
+        let west = b.add_pad("west", Point::new(0.0, 20.0));
+        let east = b.add_pad("east", Point::new(100.0, 20.0));
+        for (name, m, p) in [("ne", left, east), ("nw", right, west)] {
+            b.add_net(
+                name,
+                [
+                    (NodeRef::Macro(m), Point::ORIGIN),
+                    (NodeRef::Pad(p), Point::ORIGIN),
+                ],
+                1.0,
+            )
+            .unwrap();
+        }
+        let d = b.build().unwrap();
+        let mut pl = Placement::initial(&d);
+        pl.set_macro_center(left, Point::new(25.0, 20.0));
+        pl.set_macro_center(right, Point::new(75.0, 20.0));
+        let out = SwapRefiner::new(SwapRefineConfig::default()).refine(&d, &pl, None);
+        assert_eq!((out.swaps, out.relocations), (1, 0));
+        assert_eq!(out.placement.macro_center(left), Point::new(75.0, 20.0));
+        assert_eq!(out.placement.macro_center(right), Point::new(25.0, 20.0));
+        assert!(out.hpwl_after < out.hpwl_before);
+        assert!(out.placement.macro_overlap_area(&d) < 1e-6);
     }
 
     #[test]

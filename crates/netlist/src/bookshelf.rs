@@ -304,10 +304,12 @@ pub fn read<R: Read>(name: &str, r: R) -> Result<(Design, Option<Placement>), Re
                     .parse()
                     .map_err(|_| parse_err(lineno, "bad net degree"))?;
                 let ttoks: Vec<&str> = tail.split_whitespace().collect();
-                if ttoks.len() != degree * 3 {
+                // A hostile degree must not wrap the product or size the
+                // allocation: only the tokens actually present do.
+                if degree.checked_mul(3) != Some(ttoks.len()) {
                     return Err(parse_err(lineno, "net pin count mismatch"));
                 }
-                let mut pins = Vec::with_capacity(degree);
+                let mut pins = Vec::with_capacity(ttoks.len() / 3);
                 for chunk in ttoks.chunks(3) {
                     let node = *node_refs
                         .get(chunk[0])
@@ -404,6 +406,25 @@ mod tests {
     fn pin_count_mismatch_is_an_error() {
         let src = "REGION 0 0 10 10\nNODES\nm 1 1 macro hier=\nNETS\nn 1 2 : m 0 0\nEND\n";
         assert!(read("x", src.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn hostile_net_degree_is_a_typed_error() {
+        // `usize::MAX / 3 + 1` times 3 wraps to 2 in a release build, which
+        // matches the two pin tokens below; the reader must still answer
+        // with a parse error, not a capacity-overflow panic.
+        for degree in [usize::MAX / 3 + 1, usize::MAX] {
+            let src = format!(
+                "REGION 0 0 10 10\nNODES\nm 1 1 macro hier=\nNETS\nn 1 {degree} : m 0\nEND\n"
+            );
+            match read("x", src.as_bytes()).unwrap_err() {
+                ReadBookshelfError::Parse { line, message } => {
+                    assert_eq!(line, 5);
+                    assert!(message.contains("pin count"), "{message}");
+                }
+                other => panic!("degree {degree}: unexpected error {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Incremental (delta) HPWL evaluation over a [`Placement`].
 //!
-//! Trial-move loops — orientation flips, boundary refinement, swap
-//! refinement, annealing — repeatedly perturb one or two nodes and ask for
-//! the new wirelength. A full `placement.hpwl(design)` pass is O(all nets);
+//! Trial-move loops — orientation flips, swap refinement, annealing —
+//! repeatedly perturb one or two nodes and ask for the new wirelength. A
+//! full `placement.hpwl(design)` pass is O(all nets);
 //! [`IncrementalHpwl`] caches every net's half-perimeter and, per move,
 //! recomputes only the nets incident to the touched nodes, exactly as the
 //! full evaluator would (same pin order, same box arithmetic). Totals come

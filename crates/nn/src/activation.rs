@@ -1,16 +1,14 @@
 //! ReLU and softmax.
 
 use crate::infer::InferenceCtx;
-use crate::layer::{Layer, Param};
+use crate::layer::{Layer, Param, Tape};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// ReLU as a layer (caches the activation mask for backward).
+/// ReLU as a layer. It holds nothing: a taped forward records its mask on
+/// the [`Tape`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Relu {
-    #[serde(skip)]
-    mask: Option<Vec<bool>>,
-}
+pub struct Relu {}
 
 impl Relu {
     /// A fresh ReLU layer.
@@ -20,20 +18,20 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let mut out = input.clone();
-        let mask: Vec<bool> = input.as_slice().iter().map(|&v| v > 0.0).collect();
-        for (v, &m) in out.as_mut_slice().iter_mut().zip(&mask) {
-            if !m {
-                *v = 0.0;
-            }
+    fn forward(&self, input: &Tensor, ctx: &mut InferenceCtx, tape: Option<&mut Tape>) -> Tensor {
+        let mut out = ctx.take_tensor(input.shape());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *o = if v > 0.0 { v } else { 0.0 };
         }
-        self.mask = Some(mask);
+        if let Some(tape) = tape {
+            tape.masks
+                .push(input.as_slice().iter().map(|&v| v > 0.0).collect());
+        }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self.mask.take().expect("backward without forward");
+    fn backward(&mut self, grad_out: &Tensor, tape: &mut Tape) -> Tensor {
+        let mask = tape.masks.pop().expect("backward without forward");
         let mut grad_in = grad_out.clone();
         for (g, m) in grad_in.as_mut_slice().iter_mut().zip(mask) {
             if !m {
@@ -43,28 +41,7 @@ impl Layer for Relu {
         grad_in
     }
 
-    fn infer(&self, input: &Tensor, ctx: &mut InferenceCtx) -> Tensor {
-        let mut out = ctx.take_tensor(input.shape());
-        for (o, &v) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *o = if v > 0.0 { v } else { 0.0 };
-        }
-        out
-    }
-
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-}
-
-/// Elementwise ReLU of a slice (functional form).
-pub fn relu(x: &[f32]) -> Vec<f32> {
-    x.iter().map(|&v| v.max(0.0)).collect()
-}
-
-/// Gradient of [`relu`]: passes `grad` where the forward input was positive.
-pub fn relu_backward(x: &[f32], grad: &[f32]) -> Vec<f32> {
-    x.iter()
-        .zip(grad)
-        .map(|(&v, &g)| if v > 0.0 { g } else { 0.0 })
-        .collect()
 }
 
 /// Numerically stable softmax of a slice.
@@ -92,18 +69,24 @@ mod tests {
     #[test]
     fn relu_layer_masks_negatives() {
         let mut layer = Relu::new();
+        let mut ctx = InferenceCtx::new();
+        let mut tape = Tape::new();
         let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = layer.forward(&x, true);
+        let y = layer.forward(&x, &mut ctx, Some(&mut tape));
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-        let g = layer.backward(&Tensor::from_vec(&[4], vec![1.0; 4]));
+        let g = layer.backward(&Tensor::from_vec(&[4], vec![1.0; 4]), &mut tape);
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
+        assert!(tape.is_empty(), "backward pops the mask");
     }
 
     #[test]
-    fn functional_relu_matches_layer() {
-        let x = vec![-2.0, 5.0, 0.0];
-        assert_eq!(relu(&x), vec![0.0, 5.0, 0.0]);
-        assert_eq!(relu_backward(&x, &[1.0, 1.0, 1.0]), vec![0.0, 1.0, 0.0]);
+    #[should_panic(expected = "backward without forward")]
+    fn untaped_relu_leaves_nothing_to_backward() {
+        let mut layer = Relu::new();
+        let mut tape = Tape::new();
+        let x = Tensor::from_vec(&[2], vec![-1.0, 1.0]);
+        let _ = layer.forward(&x, &mut InferenceCtx::new(), None);
+        let _ = layer.backward(&x, &mut tape);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! 2-D batch normalisation (per-channel over N·H·W).
 
 use crate::infer::InferenceCtx;
-use crate::layer::{Layer, Param};
+use crate::layer::{Layer, Param, Tape};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -11,8 +11,9 @@ const MOMENTUM: f32 = 0.1;
 /// `BatchNorm2d`: per-channel normalisation with learnable scale/shift, the
 /// "BN" of every Conv2D + BN block in Table I.
 ///
-/// Training mode uses batch statistics and updates exponential running
-/// stats; evaluation mode (MCTS inference) uses the running stats.
+/// A taped (training) forward normalises with batch statistics, which its
+/// backward folds into the exponential running statistics; an untaped
+/// forward (MCTS inference) uses the running statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchNorm2d {
     channels: usize,
@@ -20,14 +21,15 @@ pub struct BatchNorm2d {
     beta: Param,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    #[serde(skip)]
-    cache: Option<BnCache>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct BnCache {
+/// What a taped batch-norm forward leaves for its backward.
+#[derive(Debug, Clone)]
+pub(crate) struct BatchRecord {
     x_hat: Tensor,
     inv_std: Vec<f32>,
+    mean: Vec<f32>,
+    var: Vec<f32>,
     shape: [usize; 4],
 }
 
@@ -40,7 +42,6 @@ impl BatchNorm2d {
             beta: Param::new(Tensor::zeros(&[channels])),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            cache: None,
         }
     }
 
@@ -56,76 +57,77 @@ impl BatchNorm2d {
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward(&self, input: &Tensor, ctx: &mut InferenceCtx, tape: Option<&mut Tape>) -> Tensor {
         let [n, c, h, w]: [usize; 4] = input.shape().try_into().expect("bn input is NCHW");
         assert_eq!(c, self.channels, "channel mismatch");
         let hw = h * w;
         let count = (n * hw) as f32;
-        let mut out = Tensor::zeros(&[n, c, h, w]);
-        let mut x_hat = Tensor::zeros(&[n, c, h, w]);
-        let mut inv_stds = vec![0.0f32; c];
-        for (ch, inv_std_slot) in inv_stds.iter_mut().enumerate() {
-            let (mean, var) = if train {
-                let mut mean = 0.0f32;
-                for s in 0..n {
-                    let base = (s * c + ch) * hw;
-                    // mmp-lint: allow(float-reduction) why: sequential sum over a contiguous channel slice, order fixed by layout
-                    mean += input.as_slice()[base..base + hw].iter().sum::<f32>();
-                }
-                mean /= count;
-                let mut var = 0.0f32;
-                for s in 0..n {
-                    let base = (s * c + ch) * hw;
-                    var += input.as_slice()[base..base + hw]
-                        .iter()
-                        .map(|x| (x - mean).powi(2))
+        let mut out = ctx.take_tensor(&[n, c, h, w]);
+        let mut record = tape.is_some().then(|| BatchRecord {
+            x_hat: Tensor::zeros(&[n, c, h, w]),
+            inv_std: Vec::with_capacity(c),
+            mean: Vec::with_capacity(c),
+            var: Vec::with_capacity(c),
+            shape: [n, c, h, w],
+        });
+        for ch in 0..c {
+            let (mean, var) = match &mut record {
+                Some(r) => {
+                    let mut mean = 0.0f32;
+                    for s in 0..n {
+                        let base = (s * c + ch) * hw;
                         // mmp-lint: allow(float-reduction) why: sequential sum over a contiguous channel slice, order fixed by layout
-                        .sum::<f32>();
+                        mean += input.as_slice()[base..base + hw].iter().sum::<f32>();
+                    }
+                    mean /= count;
+                    let mut var = 0.0f32;
+                    for s in 0..n {
+                        let base = (s * c + ch) * hw;
+                        var += input.as_slice()[base..base + hw]
+                            .iter()
+                            .map(|x| (x - mean).powi(2))
+                            // mmp-lint: allow(float-reduction) why: sequential sum over a contiguous channel slice, order fixed by layout
+                            .sum::<f32>();
+                    }
+                    var /= count;
+                    r.mean.push(mean);
+                    r.var.push(var);
+                    (mean, var)
                 }
-                var /= count;
-                self.running_mean[ch] = (1.0 - MOMENTUM) * self.running_mean[ch] + MOMENTUM * mean;
-                self.running_var[ch] = (1.0 - MOMENTUM) * self.running_var[ch] + MOMENTUM * var;
-                (mean, var)
-            } else {
-                (self.running_mean[ch], self.running_var[ch])
+                None => (self.running_mean[ch], self.running_var[ch]),
             };
             let inv_std = 1.0 / (var + EPS).sqrt();
-            *inv_std_slot = inv_std;
             let g = self.gamma.value.as_slice()[ch];
             let b = self.beta.value.as_slice()[ch];
             for s in 0..n {
                 let base = (s * c + ch) * hw;
                 for i in base..base + hw {
                     let xh = (input.as_slice()[i] - mean) * inv_std;
-                    x_hat.as_mut_slice()[i] = xh;
+                    if let Some(r) = &mut record {
+                        r.x_hat.as_mut_slice()[i] = xh;
+                    }
                     out.as_mut_slice()[i] = g * xh + b;
                 }
             }
+            if let Some(r) = &mut record {
+                r.inv_std.push(inv_std);
+            }
         }
-        if train {
-            self.cache = Some(BnCache {
-                x_hat,
-                inv_std: inv_stds,
-                shape: [n, c, h, w],
-            });
-        } else {
-            self.cache = None;
+        if let (Some(tape), Some(r)) = (tape, record) {
+            tape.norms.push(r);
         }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("backward without training forward");
-        let [n, c, h, w] = cache.shape;
+    fn backward(&mut self, grad_out: &Tensor, tape: &mut Tape) -> Tensor {
+        let r = tape.norms.pop().expect("backward without training forward");
+        let [n, c, h, w] = r.shape;
         let hw = h * w;
         let count = (n * hw) as f32;
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
         for ch in 0..c {
             let g = self.gamma.value.as_slice()[ch];
-            let inv_std = cache.inv_std[ch];
+            let inv_std = r.inv_std[ch];
             // Reductions over the channel.
             let mut sum_dy = 0.0f32;
             let mut sum_dy_xhat = 0.0f32;
@@ -134,7 +136,7 @@ impl Layer for BatchNorm2d {
                 for i in base..base + hw {
                     let dy = grad_out.as_slice()[i];
                     sum_dy += dy;
-                    sum_dy_xhat += dy * cache.x_hat.as_slice()[i];
+                    sum_dy_xhat += dy * r.x_hat.as_slice()[i];
                 }
             }
             self.beta.grad.as_mut_slice()[ch] += sum_dy;
@@ -145,33 +147,18 @@ impl Layer for BatchNorm2d {
                 let base = (s * c + ch) * hw;
                 for i in base..base + hw {
                     let dy = grad_out.as_slice()[i];
-                    let xh = cache.x_hat.as_slice()[i];
+                    let xh = r.x_hat.as_slice()[i];
                     grad_in.as_mut_slice()[i] = g * inv_std * (dy - mean_dy - xh * mean_dy_xhat);
                 }
             }
         }
-        grad_in
-    }
-
-    fn infer(&self, input: &Tensor, ctx: &mut InferenceCtx) -> Tensor {
-        let [n, c, h, w]: [usize; 4] = input.shape().try_into().expect("bn input is NCHW");
-        assert_eq!(c, self.channels, "channel mismatch");
-        let hw = h * w;
-        let mut out = ctx.take_tensor(&[n, c, h, w]);
-        for ch in 0..c {
-            let mean = self.running_mean[ch];
-            let inv_std = 1.0 / (self.running_var[ch] + EPS).sqrt();
-            let g = self.gamma.value.as_slice()[ch];
-            let b = self.beta.value.as_slice()[ch];
-            for s in 0..n {
-                let base = (s * c + ch) * hw;
-                for i in base..base + hw {
-                    let xh = (input.as_slice()[i] - mean) * inv_std;
-                    out.as_mut_slice()[i] = g * xh + b;
-                }
-            }
+        for (rm, m) in self.running_mean.iter_mut().zip(r.mean) {
+            *rm = (1.0 - MOMENTUM) * *rm + MOMENTUM * m;
         }
-        out
+        for (rv, v) in self.running_var.iter_mut().zip(r.var) {
+            *rv = (1.0 - MOMENTUM) * *rv + MOMENTUM * v;
+        }
+        grad_in
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -196,11 +183,17 @@ mod tests {
         )
     }
 
+    /// A taped forward whose record is thrown away: batch statistics, no
+    /// running-statistics update.
+    fn batch_forward(bn: &BatchNorm2d, x: &Tensor) -> Tensor {
+        bn.forward(x, &mut InferenceCtx::new(), Some(&mut Tape::new()))
+    }
+
     #[test]
     fn training_output_is_normalized() {
-        let mut bn = BatchNorm2d::new(2);
+        let bn = BatchNorm2d::new(2);
         let input = random_input(&[2, 2, 4, 4], 1);
-        let out = bn.forward(&input, true);
+        let out = batch_forward(&bn, &input);
         // Per channel: mean ≈ 0, var ≈ 1.
         for ch in 0..2 {
             let mut vals = Vec::new();
@@ -222,12 +215,16 @@ mod tests {
     fn eval_uses_running_stats() {
         let mut bn = BatchNorm2d::new(1);
         let input = random_input(&[1, 1, 4, 4], 2);
-        // Train a few times to move running stats.
+        // Train a few times to move running stats: each backward folds its
+        // pass's batch statistics in.
+        let mut ctx = InferenceCtx::new();
         for _ in 0..20 {
-            let _ = bn.forward(&input, true);
+            let mut tape = Tape::new();
+            let out = bn.forward(&input, &mut ctx, Some(&mut tape));
+            let _ = bn.backward(&Tensor::zeros(out.shape()), &mut tape);
         }
-        let train_out = bn.forward(&input, true);
-        let eval_out = bn.forward(&input, false);
+        let train_out = batch_forward(&bn, &input);
+        let eval_out = bn.forward(&input, &mut ctx, None);
         // After convergence of running stats on a constant batch the two
         // agree closely.
         for (a, b) in train_out.as_slice().iter().zip(eval_out.as_slice()) {
@@ -243,7 +240,7 @@ mod tests {
         bn.gamma.value.as_mut_slice()[0] = 3.0;
         bn.beta.value.as_mut_slice()[0] = -1.0;
         let input = random_input(&[1, 1, 4, 4], 3);
-        let out = bn.forward(&input, true);
+        let out = batch_forward(&bn, &input);
         let mean = out.mean();
         assert!((mean + 1.0).abs() < 1e-4, "beta shift missing: mean {mean}");
     }
@@ -258,8 +255,8 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(5);
             (0..18).map(|_| rng.gen::<f32>() - 0.5).collect()
         };
-        let loss = |bn: &mut BatchNorm2d, x: &Tensor| -> f32 {
-            bn.forward(x, true)
+        let loss = |bn: &BatchNorm2d, x: &Tensor| -> f32 {
+            batch_forward(bn, x)
                 .as_slice()
                 .iter()
                 .zip(&coefs)
@@ -267,17 +264,19 @@ mod tests {
                 .sum()
         };
         bn.zero_grad();
-        let _ = bn.forward(&input, true);
-        let grad_in = bn.backward(&Tensor::from_vec(&[1, 2, 3, 3], coefs.clone()));
+        let mut ctx = InferenceCtx::new();
+        let mut tape = Tape::new();
+        let _ = bn.forward(&input, &mut ctx, Some(&mut tape));
+        let grad_in = bn.backward(&Tensor::from_vec(&[1, 2, 3, 3], coefs.clone()), &mut tape);
         let eps = 1e-2;
         for idx in [0usize, 5, 12, 17] {
             let analytic = grad_in.as_slice()[idx];
             let mut ip = input.clone();
             ip.as_mut_slice()[idx] += eps;
-            let lp = loss(&mut bn, &ip);
+            let lp = loss(&bn, &ip);
             let mut im = input.clone();
             im.as_mut_slice()[idx] -= eps;
-            let lm = loss(&mut bn, &im);
+            let lm = loss(&bn, &im);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
                 (analytic - numeric).abs() < 3e-2,
@@ -286,14 +285,14 @@ mod tests {
         }
         // Gamma gradient.
         bn.zero_grad();
-        let _ = bn.forward(&input, true);
-        let _ = bn.backward(&Tensor::from_vec(&[1, 2, 3, 3], coefs.clone()));
+        let _ = bn.forward(&input, &mut ctx, Some(&mut tape));
+        let _ = bn.backward(&Tensor::from_vec(&[1, 2, 3, 3], coefs.clone()), &mut tape);
         let analytic = bn.gamma.grad.as_slice()[0];
         let orig = bn.gamma.value.as_slice()[0];
         bn.gamma.value.as_mut_slice()[0] = orig + eps;
-        let lp = loss(&mut bn, &input);
+        let lp = loss(&bn, &input);
         bn.gamma.value.as_mut_slice()[0] = orig - eps;
-        let lm = loss(&mut bn, &input);
+        let lm = loss(&bn, &input);
         bn.gamma.value.as_mut_slice()[0] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         assert!(
@@ -303,11 +302,56 @@ mod tests {
     }
 
     #[test]
+    fn running_statistics_fold_in_once_per_backward() {
+        let mut bn = BatchNorm2d::new(2);
+        let input = random_input(&[2, 2, 3, 3], 7);
+        // The batch statistics, per channel, in f64.
+        let stats: Vec<(f64, f64)> = (0..2)
+            .map(|ch| {
+                let vals: Vec<f64> = (0..2)
+                    .flat_map(|s| input.as_slice()[(s * 2 + ch) * 9..][..9].to_vec())
+                    .map(f64::from)
+                    .collect();
+                let mean = vals.iter().sum::<f64>() / 18.0;
+                let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / 18.0;
+                (mean, var)
+            })
+            .collect();
+        let mut ctx = InferenceCtx::new();
+        for pass in 1..=2 {
+            let mut tape = Tape::new();
+            let out = bn.forward(&input, &mut ctx, Some(&mut tape));
+            if pass == 1 {
+                assert_eq!(bn.running_mean(), &[0.0, 0.0], "a forward moves nothing");
+                assert_eq!(bn.running_var(), &[1.0, 1.0]);
+            }
+            let _ = bn.backward(&Tensor::zeros(out.shape()), &mut tape);
+            // After k passes over one batch: r_k = (1 − m)^k · r_0 + (1 − (1 − m)^k) · b.
+            let keep = (1.0 - f64::from(MOMENTUM)).powi(pass);
+            for (ch, &(mean, var)) in stats.iter().enumerate() {
+                let want_mean = (1.0 - keep) * mean;
+                let want_var = keep + (1.0 - keep) * var;
+                assert!(
+                    (f64::from(bn.running_mean()[ch]) - want_mean).abs() < 1e-6,
+                    "pass {pass} ch {ch}: mean {} want {want_mean}",
+                    bn.running_mean()[ch]
+                );
+                assert!(
+                    (f64::from(bn.running_var()[ch]) - want_var).abs() < 1e-6,
+                    "pass {pass} ch {ch}: var {} want {want_var}",
+                    bn.running_var()[ch]
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "backward without training forward")]
     fn eval_forward_cannot_backward() {
         let mut bn = BatchNorm2d::new(1);
         let input = random_input(&[1, 1, 2, 2], 6);
-        let _ = bn.forward(&input, false);
-        let _ = bn.backward(&Tensor::zeros(&[1, 1, 2, 2]));
+        let mut tape = Tape::new();
+        let _ = bn.forward(&input, &mut InferenceCtx::new(), None);
+        let _ = bn.backward(&Tensor::zeros(&[1, 1, 2, 2]), &mut tape);
     }
 }

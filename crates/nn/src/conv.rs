@@ -1,7 +1,7 @@
 //! 2-D convolution (stride 1, "same" padding) via im2col + GEMM.
 
 use crate::infer::InferenceCtx;
-use crate::layer::{Layer, Param};
+use crate::layer::{Layer, Param, Tape};
 use crate::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use crate::tensor::Tensor;
 use rand::rngs::SmallRng;
@@ -20,8 +20,6 @@ pub struct Conv2d {
     weight: Param,
     /// Bias shaped `[out_channels]`.
     bias: Param,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -45,7 +43,6 @@ impl Conv2d {
             kernel,
             weight: Param::new(Tensor::from_vec(&[out_channels, fan_in], weight)),
             bias: Param::new(Tensor::zeros(&[out_channels])),
-            cached_input: None,
         }
     }
 
@@ -133,18 +130,27 @@ fn gaussian(rng: &mut SmallRng) -> f32 {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&self, input: &Tensor, ctx: &mut InferenceCtx, tape: Option<&mut Tape>) -> Tensor {
         let [n, c, h, w]: [usize; 4] = input.shape().try_into().expect("conv input is NCHW");
         assert_eq!(c, self.in_channels, "channel mismatch");
         let hw = h * w;
         let ckk = self.in_channels * self.kernel * self.kernel;
-        let mut out = Tensor::zeros(&[n, self.out_channels, h, w]);
+        let mut out = ctx.take_tensor(&[n, self.out_channels, h, w]);
+        // One pooled column buffer serves every sample: padding slots stay
+        // zero across iterations, data slots are fully overwritten.
+        let mut cols = ctx.take(ckk * hw);
+        // Kernel kinds are bitwise identical; Reference is the benchmark
+        // baseline (see `matmul`'s summation-order contract).
+        let gemm: crate::matmul::Gemm = match ctx.kernel() {
+            crate::KernelKind::Tiled => matmul,
+            crate::KernelKind::Reference => crate::matmul::reference::matmul,
+        };
         for s in 0..n {
             let sample = &input.as_slice()[s * c * hw..(s + 1) * c * hw];
-            let cols = self.im2col(sample, h, w);
+            self.im2col_into(sample, h, w, &mut cols);
             let out_s = &mut out.as_mut_slice()
                 [s * self.out_channels * hw..(s + 1) * self.out_channels * hw];
-            matmul(
+            gemm(
                 self.weight.value.as_slice(),
                 &cols,
                 out_s,
@@ -159,13 +165,16 @@ impl Layer for Conv2d {
                 }
             }
         }
-        self.cached_input = Some(input.clone());
+        ctx.recycle(cols);
+        if let Some(tape) = tape {
+            tape.inputs.push(input.clone());
+        }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.take().expect("backward without forward");
-        let [n, c, h, w]: [usize; 4] = input.shape().try_into().expect("cached input is NCHW");
+    fn backward(&mut self, grad_out: &Tensor, tape: &mut Tape) -> Tensor {
+        let input = tape.inputs.pop().expect("backward without forward");
+        let [n, c, h, w]: [usize; 4] = input.shape().try_into().expect("taped input is NCHW");
         let hw = h * w;
         let ckk = self.in_channels * self.kernel * self.kernel;
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
@@ -204,45 +213,6 @@ impl Layer for Conv2d {
         grad_in
     }
 
-    fn infer(&self, input: &Tensor, ctx: &mut InferenceCtx) -> Tensor {
-        let [n, c, h, w]: [usize; 4] = input.shape().try_into().expect("conv input is NCHW");
-        assert_eq!(c, self.in_channels, "channel mismatch");
-        let hw = h * w;
-        let ckk = self.in_channels * self.kernel * self.kernel;
-        let mut out = ctx.take_tensor(&[n, self.out_channels, h, w]);
-        // One pooled column buffer serves every sample: padding slots stay
-        // zero across iterations, data slots are fully overwritten.
-        let mut cols = ctx.take(ckk * hw);
-        // Kernel kinds are bitwise identical; Reference is the benchmark
-        // baseline (see `matmul`'s summation-order contract).
-        let gemm: crate::matmul::Gemm = match ctx.kernel() {
-            crate::KernelKind::Tiled => matmul,
-            crate::KernelKind::Reference => crate::matmul::reference::matmul,
-        };
-        for s in 0..n {
-            let sample = &input.as_slice()[s * c * hw..(s + 1) * c * hw];
-            self.im2col_into(sample, h, w, &mut cols);
-            let out_s = &mut out.as_mut_slice()
-                [s * self.out_channels * hw..(s + 1) * self.out_channels * hw];
-            gemm(
-                self.weight.value.as_slice(),
-                &cols,
-                out_s,
-                self.out_channels,
-                ckk,
-                hw,
-            );
-            for f in 0..self.out_channels {
-                let b = self.bias.value.as_slice()[f];
-                for v in &mut out_s[f * hw..(f + 1) * hw] {
-                    *v += b;
-                }
-            }
-        }
-        ctx.recycle(cols);
-        out
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
@@ -259,7 +229,7 @@ mod tests {
         let mut conv = Conv2d::new(1, 1, 1, 0);
         conv.weight.value.as_mut_slice()[0] = 1.0;
         let input = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let out = conv.forward(&input, true);
+        let out = conv.forward(&input, &mut InferenceCtx::new(), None);
         assert_eq!(out.as_slice(), input.as_slice());
     }
 
@@ -272,7 +242,7 @@ mod tests {
             *v = 1.0 / 9.0;
         }
         let input = Tensor::from_vec(&[1, 1, 3, 3], vec![9.0; 9]);
-        let out = conv.forward(&input, true);
+        let out = conv.forward(&input, &mut InferenceCtx::new(), None);
         // Center sees all 9 pixels; corners see 4.
         assert!((out.get(&[0, 0, 1, 1]) - 9.0).abs() < 1e-5);
         assert!((out.get(&[0, 0, 0, 0]) - 4.0).abs() < 1e-5);
@@ -284,7 +254,11 @@ mod tests {
         conv.weight.value.fill_zero();
         conv.bias.value.as_mut_slice()[0] = 1.5;
         conv.bias.value.as_mut_slice()[1] = -2.0;
-        let out = conv.forward(&Tensor::zeros(&[1, 1, 2, 2]), true);
+        let out = conv.forward(
+            &Tensor::zeros(&[1, 1, 2, 2]),
+            &mut InferenceCtx::new(),
+            None,
+        );
         assert_eq!(out.get(&[0, 0, 0, 0]), 1.5);
         assert_eq!(out.get(&[0, 1, 1, 1]), -2.0);
     }
@@ -320,25 +294,27 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(6);
             (0..32).map(|_| rng.gen::<f32>() - 0.5).collect()
         };
-        let loss = |conv: &mut Conv2d, input: &Tensor| -> f32 {
-            let out = conv.forward(input, true);
+        let mut ctx = InferenceCtx::new();
+        let mut loss = |conv: &Conv2d, input: &Tensor| -> f32 {
+            let out = conv.forward(input, &mut ctx, None);
             out.as_slice().iter().zip(&coefs).map(|(o, c)| o * c).sum()
         };
         // Analytic gradients.
         conv.zero_grad();
-        let out = conv.forward(&input, true);
+        let mut tape = Tape::new();
+        let out = conv.forward(&input, &mut InferenceCtx::new(), Some(&mut tape));
         assert_eq!(out.len(), 32);
         let grad_out = Tensor::from_vec(&[1, 2, 4, 4], coefs.clone());
-        let grad_in = conv.backward(&grad_out);
+        let grad_in = conv.backward(&grad_out, &mut tape);
         // Weight gradient check (a few entries).
         let eps = 1e-3;
         for idx in [0usize, 7, 17, 35] {
             let analytic = conv.weight.grad.as_slice()[idx];
             let orig = conv.weight.value.as_slice()[idx];
             conv.weight.value.as_mut_slice()[idx] = orig + eps;
-            let lp = loss(&mut conv, &input);
+            let lp = loss(&conv, &input);
             conv.weight.value.as_mut_slice()[idx] = orig - eps;
-            let lm = loss(&mut conv, &input);
+            let lm = loss(&conv, &input);
             conv.weight.value.as_mut_slice()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
@@ -351,10 +327,10 @@ mod tests {
             let analytic = grad_in.as_slice()[idx];
             let mut ip = input.clone();
             ip.as_mut_slice()[idx] += eps;
-            let lp = loss(&mut conv, &ip);
+            let lp = loss(&conv, &ip);
             let mut im = input.clone();
             im.as_mut_slice()[idx] -= eps;
-            let lm = loss(&mut conv, &im);
+            let lm = loss(&conv, &im);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(
                 (analytic - numeric).abs() < 2e-2,
@@ -370,6 +346,6 @@ mod tests {
     #[should_panic(expected = "backward without forward")]
     fn backward_requires_forward() {
         let mut conv = Conv2d::new(1, 1, 1, 0);
-        let _ = conv.backward(&Tensor::zeros(&[1, 1, 2, 2]));
+        let _ = conv.backward(&Tensor::zeros(&[1, 1, 2, 2]), &mut Tape::new());
     }
 }

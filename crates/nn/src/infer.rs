@@ -1,14 +1,14 @@
-//! The inference workspace: preallocated scratch buffers shared across
-//! forward passes.
+//! The layer workspace: preallocated scratch buffers shared across forward
+//! passes.
 //!
-//! Training needs `&mut self` layers (the tape caches live inside them),
-//! but inference does not: weights are immutable and every intermediate is
-//! scratch. [`InferenceCtx`] makes that split explicit — layers expose
-//! [`Layer::infer`](crate::Layer::infer) taking `&self` weights plus a
-//! `&mut InferenceCtx`, and every im2col buffer, activation plane and head
-//! output is drawn from (and returned to) the context's pool instead of
-//! being freshly allocated. One network can then be shared by many readers
-//! (MCTS workers, batched evaluators) that each own a cheap context.
+//! Weights are immutable during a forward and every intermediate is
+//! scratch, so layers expose one [`Layer::forward`](crate::Layer::forward)
+//! taking `&self` weights plus a `&mut InferenceCtx`; training adds a
+//! [`Tape`](crate::Tape) for the records backward needs. Every im2col
+//! buffer, activation plane and head output is drawn from (and returned to)
+//! the context's pool instead of being freshly allocated. One network can
+//! then be shared by many readers (MCTS workers, batched evaluators) that
+//! each own a cheap context.
 //!
 //! Beyond the buffer pool, the context carries the rest of the per-caller
 //! compute state:
@@ -26,8 +26,8 @@
 use crate::tensor::Tensor;
 use mmp_pool::ThreadPool;
 
-/// Which GEMM implementation [`Layer::infer`](crate::Layer::infer) paths
-/// dispatch through.
+/// Which GEMM implementation [`Layer::forward`](crate::Layer::forward)
+/// dispatches through.
 ///
 /// Both kinds obey the summation-order contract of
 /// [`matmul`](crate::matmul) and therefore produce bitwise-identical

@@ -1,5 +1,7 @@
-//! The layer abstraction: forward, backward, and parameter visitation.
+//! The layer abstraction: one forward, a backward, the tape between
+//! them, and parameter visitation.
 
+use crate::batchnorm::BatchRecord;
 use crate::infer::InferenceCtx;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -27,33 +29,56 @@ impl Param {
     }
 }
 
+/// What a training forward records for the backward pass.
+///
+/// Each layer pushes its record in forward order and its
+/// [`Layer::backward`] pops it, so a network's backward must visit its
+/// layers in the exact reverse of their forward order. Records live here,
+/// never inside a layer: weights stay `&self` while the tape fills.
+#[derive(Debug, Clone, Default)]
+pub struct Tape {
+    /// Conv and linear inputs.
+    pub(crate) inputs: Vec<Tensor>,
+    /// ReLU masks: where the input was positive.
+    pub(crate) masks: Vec<Vec<bool>>,
+    /// Batch-norm records.
+    pub(crate) norms: Vec<BatchRecord>,
+}
+
+impl Tape {
+    /// An empty tape.
+    pub fn new() -> Self {
+        Tape::default()
+    }
+
+    /// `true` when every record has been popped.
+    pub fn is_empty(&self) -> bool {
+        self.inputs.is_empty() && self.masks.is_empty() && self.norms.is_empty()
+    }
+}
+
 /// A differentiable layer.
 ///
-/// `forward` caches whatever the matching `backward` needs; `backward`
-/// consumes the cache, accumulates parameter gradients and returns the
-/// gradient w.r.t. the layer input. Layers are used strictly in
-/// forward-then-backward pairs (standard tape discipline).
-///
-/// `infer` is the stateless counterpart: weights stay `&self`, all scratch
-/// comes from the [`InferenceCtx`], nothing is cached — so one layer can be
-/// shared by many concurrent readers, each with its own context.
+/// One `forward` serves inference and training. Weights stay `&self` and
+/// every buffer comes from the [`InferenceCtx`], so one layer can be shared
+/// by many concurrent readers, each with its own context. Passing a
+/// [`Tape`] selects training: batch-norm then normalises with the batch's
+/// own statistics, and each layer records what its `backward` needs.
 pub trait Layer {
-    /// Computes the layer output. `train` selects training behaviour
-    /// (batch statistics in batch-norm).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output; inputs carry a leading batch axis N ≥ 1.
+    /// Without a tape, batch-norm uses its running statistics and samples
+    /// never interact.
+    fn forward(&self, input: &Tensor, ctx: &mut InferenceCtx, tape: Option<&mut Tape>) -> Tensor;
 
-    /// Computes the layer output without mutating the layer: evaluation
-    /// semantics (running statistics in batch-norm), scratch drawn from
-    /// `ctx`. Inputs may carry a leading batch axis N ≥ 1.
-    fn infer(&self, input: &Tensor, ctx: &mut InferenceCtx) -> Tensor;
-
-    /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, accumulating
-    /// parameter gradients.
+    /// Propagates `grad_out` (∂loss/∂output) to ∂loss/∂input, popping this
+    /// layer's record off `tape` and accumulating parameter gradients.
+    /// Batch-norm also folds the recorded batch statistics into its running
+    /// statistics here, once per taped pass.
     ///
     /// # Panics
     ///
-    /// Implementations panic when called without a preceding `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Implementations panic when `tape` holds no record for the layer.
+    fn backward(&mut self, grad_out: &Tensor, tape: &mut Tape) -> Tensor;
 
     /// Visits every trainable parameter (used by optimizers and
     /// checkpointing).

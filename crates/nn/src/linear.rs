@@ -1,7 +1,7 @@
 //! Fully-connected layers.
 
 use crate::infer::InferenceCtx;
-use crate::layer::{Layer, Param};
+use crate::layer::{Layer, Param, Tape};
 use crate::matmul::{matmul, matmul_at_b};
 use crate::tensor::Tensor;
 use rand::rngs::SmallRng;
@@ -18,8 +18,6 @@ pub struct Linear {
     weight: Param,
     /// Bias shaped `[out]`.
     bias: Param,
-    #[serde(skip)]
-    cached_input: Option<Tensor>,
 }
 
 impl Linear {
@@ -36,7 +34,6 @@ impl Linear {
             out_features,
             weight: Param::new(Tensor::from_vec(&[out_features, in_features], weight)),
             bias: Param::new(Tensor::zeros(&[out_features])),
-            cached_input: None,
         }
     }
 
@@ -52,12 +49,18 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&self, input: &Tensor, ctx: &mut InferenceCtx, tape: Option<&mut Tape>) -> Tensor {
         let [n, d]: [usize; 2] = input.shape().try_into().expect("linear input is (N, in)");
         assert_eq!(d, self.in_features, "feature mismatch");
-        let mut out = Tensor::zeros(&[n, self.out_features]);
-        // out = x (N×in) · Wᵀ (in×out): use matmul_a_bt with b = W (out×in).
-        crate::matmul::matmul_a_bt(
+        let mut out = ctx.take_tensor(&[n, self.out_features]);
+        // out = x (N×in) · Wᵀ (in×out), with W stored (out×in). Kernel kinds
+        // are bitwise identical; Reference is the benchmark baseline (see
+        // `matmul`'s summation-order contract).
+        let gemm: crate::matmul::Gemm = match ctx.kernel() {
+            crate::KernelKind::Tiled => crate::matmul::matmul_a_bt,
+            crate::KernelKind::Reference => crate::matmul::reference::matmul_a_bt,
+        };
+        gemm(
             input.as_slice(),
             self.weight.value.as_slice(),
             out.as_mut_slice(),
@@ -73,13 +76,15 @@ impl Layer for Linear {
                 *o += b;
             }
         }
-        self.cached_input = Some(input.clone());
+        if let Some(tape) = tape {
+            tape.inputs.push(input.clone());
+        }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.take().expect("backward without forward");
-        let [n, _]: [usize; 2] = input.shape().try_into().expect("cached input is (N, in)");
+    fn backward(&mut self, grad_out: &Tensor, tape: &mut Tape) -> Tensor {
+        let input = tape.inputs.pop().expect("backward without forward");
+        let [n, _]: [usize; 2] = input.shape().try_into().expect("taped input is (N, in)");
         // dW += dyᵀ (out×N) · x (N×in)
         matmul_at_b(
             grad_out.as_slice(),
@@ -114,35 +119,6 @@ impl Layer for Linear {
         grad_in
     }
 
-    fn infer(&self, input: &Tensor, ctx: &mut InferenceCtx) -> Tensor {
-        let [n, d]: [usize; 2] = input.shape().try_into().expect("linear input is (N, in)");
-        assert_eq!(d, self.in_features, "feature mismatch");
-        let mut out = ctx.take_tensor(&[n, self.out_features]);
-        // Kernel kinds are bitwise identical; Reference is the benchmark
-        // baseline (see `matmul`'s summation-order contract).
-        let gemm: crate::matmul::Gemm = match ctx.kernel() {
-            crate::KernelKind::Tiled => crate::matmul::matmul_a_bt,
-            crate::KernelKind::Reference => crate::matmul::reference::matmul_a_bt,
-        };
-        gemm(
-            input.as_slice(),
-            self.weight.value.as_slice(),
-            out.as_mut_slice(),
-            n,
-            self.in_features,
-            self.out_features,
-        );
-        for s in 0..n {
-            for (o, b) in out.as_mut_slice()[s * self.out_features..(s + 1) * self.out_features]
-                .iter_mut()
-                .zip(self.bias.value.as_slice())
-            {
-                *o += b;
-            }
-        }
-        out
-    }
-
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.weight);
         f(&mut self.bias);
@@ -160,16 +136,16 @@ mod tests {
         lin.weight.value = Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         lin.bias.value = Tensor::from_vec(&[2], vec![10.0, 20.0]);
         let x = Tensor::from_vec(&[1, 2], vec![5.0, 6.0]);
-        let y = lin.forward(&x, true);
+        let y = lin.forward(&x, &mut InferenceCtx::new(), None);
         // y = [5+12+10, 15+24+20] = [27, 59]
         assert_eq!(y.as_slice(), &[27.0, 59.0]);
     }
 
     #[test]
     fn batch_dimension_works() {
-        let mut lin = Linear::new(3, 2, 1);
+        let lin = Linear::new(3, 2, 1);
         let x = Tensor::zeros(&[4, 3]);
-        let y = lin.forward(&x, true);
+        let y = lin.forward(&x, &mut InferenceCtx::new(), None);
         assert_eq!(y.shape(), &[4, 2]);
     }
 
@@ -181,8 +157,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let x = Tensor::from_vec(&[2, 3], (0..6).map(|_| rng.gen::<f32>() - 0.5).collect());
         let coefs: Vec<f32> = (0..4).map(|_| rng.gen::<f32>() - 0.5).collect();
-        let loss = |lin: &mut Linear, x: &Tensor| -> f32 {
-            lin.forward(x, true)
+        let mut ctx = InferenceCtx::new();
+        let mut loss = |lin: &Linear, x: &Tensor| -> f32 {
+            lin.forward(x, &mut ctx, None)
                 .as_slice()
                 .iter()
                 .zip(&coefs)
@@ -190,17 +167,18 @@ mod tests {
                 .sum()
         };
         lin.zero_grad();
-        let _ = lin.forward(&x, true);
-        let grad_in = lin.backward(&Tensor::from_vec(&[2, 2], coefs.clone()));
+        let mut tape = Tape::new();
+        let _ = lin.forward(&x, &mut InferenceCtx::new(), Some(&mut tape));
+        let grad_in = lin.backward(&Tensor::from_vec(&[2, 2], coefs.clone()), &mut tape);
         let eps = 1e-3;
         // Weights.
         for idx in 0..6 {
             let analytic = lin.weight.grad.as_slice()[idx];
             let orig = lin.weight.value.as_slice()[idx];
             lin.weight.value.as_mut_slice()[idx] = orig + eps;
-            let lp = loss(&mut lin, &x);
+            let lp = loss(&lin, &x);
             lin.weight.value.as_mut_slice()[idx] = orig - eps;
-            let lm = loss(&mut lin, &x);
+            let lm = loss(&lin, &x);
             lin.weight.value.as_mut_slice()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((analytic - numeric).abs() < 1e-2, "w[{idx}]");
@@ -210,13 +188,22 @@ mod tests {
             let analytic = grad_in.as_slice()[idx];
             let mut xp = x.clone();
             xp.as_mut_slice()[idx] += eps;
-            let lp = loss(&mut lin, &xp);
+            let lp = loss(&lin, &xp);
             let mut xm = x.clone();
             xm.as_mut_slice()[idx] -= eps;
-            let lm = loss(&mut lin, &xm);
+            let lm = loss(&lin, &xm);
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((analytic - numeric).abs() < 1e-2, "x[{idx}]");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without forward")]
+    fn untaped_forward_leaves_nothing_to_backward() {
+        let mut lin = Linear::new(3, 2, 0);
+        let mut tape = Tape::new();
+        let _ = lin.forward(&Tensor::zeros(&[1, 3]), &mut InferenceCtx::new(), None);
+        let _ = lin.backward(&Tensor::zeros(&[1, 2]), &mut tape);
     }
 
     #[test]

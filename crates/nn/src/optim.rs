@@ -11,16 +11,18 @@ use serde::{Deserialize, Serialize};
 /// An optimizer over [`Param`]s.
 ///
 /// ```
-/// use mmp_nn::{Linear, Layer, Optimizer, Sgd, Tensor};
+/// use mmp_nn::{InferenceCtx, Layer, Linear, Optimizer, Sgd, Tape, Tensor};
 ///
 /// let mut lin = Linear::new(2, 1, 0);
 /// let mut opt = Sgd::new(0.1, 0.0);
+/// let mut ctx = InferenceCtx::new();
+/// let mut tape = Tape::new();
 /// let x = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
-/// let before = lin.forward(&x, true).as_slice()[0];
-/// lin.backward(&Tensor::from_vec(&[1, 1], vec![1.0])); // d loss/d y = 1
+/// let before = lin.forward(&x, &mut ctx, Some(&mut tape)).as_slice()[0];
+/// lin.backward(&Tensor::from_vec(&[1, 1], vec![1.0]), &mut tape); // d loss/d y = 1
 /// opt.begin_step();
 /// lin.visit_params(&mut |p| opt.update(p));
-/// let after = lin.forward(&x, true).as_slice()[0];
+/// let after = lin.forward(&x, &mut ctx, None).as_slice()[0];
 /// assert!(after < before, "gradient step must reduce the output");
 /// ```
 pub trait Optimizer {

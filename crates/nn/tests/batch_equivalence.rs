@@ -1,7 +1,6 @@
-//! Batched inference must match per-sample inference, and the `&self`
-//! infer path must match the legacy eval-mode forward path.
+//! Batched inference must match per-sample inference.
 
-use mmp_nn::{BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Relu, Sequential, Tensor};
+use mmp_nn::{BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Relu, Tape, Tensor};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random data in [-1, 1).
@@ -17,21 +16,43 @@ fn data(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// A small conv tower whose BatchNorm has seen a few training batches, so
-/// running stats are non-trivial.
-fn tower(channels: usize, seed: u64) -> Sequential {
-    let mut net = Sequential::new();
-    net.push(Conv2d::new(1, channels, 3, seed));
+/// A small conv → batch-norm → ReLU tower.
+struct Tower {
+    conv: Conv2d,
+    bn: BatchNorm2d,
+    relu: Relu,
+}
+
+impl Tower {
+    /// Inference through the three layers.
+    fn infer(&self, x: &Tensor, ctx: &mut InferenceCtx) -> Tensor {
+        let h = self.conv.forward(x, ctx, None);
+        let b = self.bn.forward(&h, ctx, None);
+        ctx.recycle_tensor(h);
+        let out = self.relu.forward(&b, ctx, None);
+        ctx.recycle_tensor(b);
+        out
+    }
+}
+
+/// A tower whose BatchNorm has seen a few training batches, so running
+/// stats are non-trivial.
+fn tower(channels: usize, seed: u64) -> Tower {
+    let conv = Conv2d::new(1, channels, 3, seed);
     let mut bn = BatchNorm2d::new(channels);
-    let mut warm = Conv2d::new(1, channels, 3, seed);
+    let mut ctx = InferenceCtx::new();
     for step in 0..4 {
         let x = Tensor::from_vec(&[2, 1, 4, 4], data(32, seed ^ (step + 1)));
-        let h = warm.forward(&x, true);
-        let _ = bn.forward(&h, true);
+        let h = conv.forward(&x, &mut ctx, None);
+        let mut tape = Tape::new();
+        let out = bn.forward(&h, &mut ctx, Some(&mut tape));
+        let _ = bn.backward(&Tensor::zeros(out.shape()), &mut tape);
     }
-    net.push(bn);
-    net.push(Relu::new());
-    net
+    Tower {
+        conv,
+        bn,
+        relu: Relu::new(),
+    }
 }
 
 proptest! {
@@ -64,10 +85,10 @@ proptest! {
         let mut ctx = InferenceCtx::new();
         let batch_data = data(n * 6, seed ^ 0x11);
         let batch = Tensor::from_vec(&[n, 6], batch_data.clone());
-        let batched = lin.infer(&batch, &mut ctx);
+        let batched = lin.forward(&batch, &mut ctx, None);
         for s in 0..n {
             let single = Tensor::from_vec(&[1, 6], batch_data[s * 6..(s + 1) * 6].to_vec());
-            let out = lin.infer(&single, &mut ctx);
+            let out = lin.forward(&single, &mut ctx, None);
             for (a, b) in out
                 .as_slice()
                 .iter()
@@ -79,18 +100,25 @@ proptest! {
         }
     }
 
-    /// The `&self` infer path reproduces the legacy eval-mode forward path.
+    /// A tape only records: outside batch-norm, whose taped pass uses batch
+    /// statistics, a training forward computes the inference bits.
     #[test]
-    fn infer_matches_eval_forward(n in 1usize..4, seed in 0u64..500) {
-        let mut net = tower(2, seed);
-        let mut ctx = InferenceCtx::new();
+    fn taped_forward_matches_untaped_forward(n in 1usize..4, seed in 0u64..500) {
+        let conv = Conv2d::new(1, 3, 3, seed);
+        let relu = Relu::new();
+        let lin = Linear::new(48, 5, seed ^ 0x5);
         let x = Tensor::from_vec(&[n, 1, 4, 4], data(n * 16, seed ^ 0x77));
-        let legacy = net.forward(&x, false);
-        let inferred = net.infer(&x, &mut ctx);
-        prop_assert_eq!(legacy.shape(), inferred.shape());
-        for (a, b) in legacy.as_slice().iter().zip(inferred.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
-        }
+        let run = |ctx: &mut InferenceCtx, mut tape: Option<&mut Tape>| {
+            let h = conv.forward(&x, ctx, tape.as_deref_mut());
+            let mut h = relu.forward(&h, ctx, tape.as_deref_mut());
+            h.reshape_in_place(&[n, 48]);
+            lin.forward(&h, ctx, tape)
+        };
+        let untaped = run(&mut InferenceCtx::new(), None);
+        let mut tape = Tape::new();
+        let taped = run(&mut InferenceCtx::new(), Some(&mut tape));
+        prop_assert_eq!(untaped.as_slice(), taped.as_slice());
+        prop_assert!(!tape.is_empty());
     }
 }
 

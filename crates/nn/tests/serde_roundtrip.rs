@@ -5,12 +5,12 @@
 //! every weight and every optimizer moment survives
 //! serialize→deserialize exactly. The vendored `serde_json` formats f32/f64
 //! round-trip-exactly (shortest-representation printing), so equality here
-//! is `==`, not "within epsilon". `#[serde(skip)]` scratch fields (forward
-//! caches) are dropped on save and must rebuild transparently on first use
-//! after load.
+//! is `==`, not "within epsilon". Layers keep no forward state, so a
+//! restored layer trains exactly like the original.
 
 use mmp_nn::{
-    Adam, BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Optimizer, Param, Sgd, Tensor,
+    Adam, BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Optimizer, Param, Relu, Sgd, Tape,
+    Tensor,
 };
 
 /// Deterministic, non-trivial tensor values (no RNG dependency needed).
@@ -35,46 +35,53 @@ fn fresh_layers_round_trip_bitwise() {
     assert_eq!(round_trip(&conv), conv);
     let bn = BatchNorm2d::new(4);
     assert_eq!(round_trip(&bn), bn);
+    // Checkpoints written before ReLU lost its cache field store `{}`.
+    assert_eq!(serde_json::to_string(&Relu::new()).unwrap(), "{}");
+    assert_eq!(serde_json::from_str::<Relu>("{}").unwrap(), Relu::new());
 }
 
 #[test]
-fn trained_linear_round_trips_and_its_cache_rebuilds() {
+fn trained_linear_round_trips_and_trains_identically() {
     let mut lin = Linear::new(5, 3, 7);
     let x = filled(&[2, 5]);
-    // Forward in train mode leaves a cached input behind; the skip field
-    // must vanish on save, not poison the payload.
-    let _ = lin.forward(&x, true);
+    let g = filled(&[2, 3]);
+    let mut ctx = InferenceCtx::new();
+    let mut tape = Tape::new();
+    let _ = lin.forward(&x, &mut ctx, Some(&mut tape));
+    let _ = lin.backward(&g, &mut tape);
     let mut back = round_trip(&lin);
+    assert_eq!(back, lin);
     // Inference outputs are bitwise identical...
-    let mut ctx_a = InferenceCtx::new();
     let mut ctx_b = InferenceCtx::new();
     assert_eq!(
-        lin.infer(&x, &mut ctx_a).as_slice(),
-        back.infer(&x, &mut ctx_b).as_slice()
+        lin.forward(&x, &mut ctx, None).as_slice(),
+        back.forward(&x, &mut ctx_b, None).as_slice()
     );
-    // ...and the restored layer trains: its cache rebuilds on the first
-    // forward, so backward produces the exact gradients of the original.
-    let g = filled(&[2, 3]);
-    let _ = lin.forward(&x, true);
-    let grad_orig = lin.backward(&g);
-    let _ = back.forward(&x, true);
-    let grad_back = back.backward(&g);
+    // ...and so are the gradients of the next training pass.
+    let _ = lin.forward(&x, &mut ctx, Some(&mut tape));
+    let grad_orig = lin.backward(&g, &mut tape);
+    let _ = back.forward(&x, &mut ctx_b, Some(&mut tape));
+    let grad_back = back.backward(&g, &mut tape);
     assert_eq!(grad_orig.as_slice(), grad_back.as_slice());
 }
 
 #[test]
 fn batchnorm_running_statistics_survive_the_round_trip() {
     let mut bn = BatchNorm2d::new(2);
+    let mut ctx_a = InferenceCtx::new();
     // Two training passes move the running mean/var away from init.
-    let _ = bn.forward(&filled(&[2, 2, 3, 3]), true);
-    let _ = bn.forward(&filled(&[2, 2, 3, 3]), true);
+    for _ in 0..2 {
+        let mut tape = Tape::new();
+        let out = bn.forward(&filled(&[2, 2, 3, 3]), &mut ctx_a, Some(&mut tape));
+        let _ = bn.backward(&Tensor::zeros(out.shape()), &mut tape);
+    }
+    assert_ne!(bn, BatchNorm2d::new(2));
     let back = round_trip(&bn);
     let x = filled(&[1, 2, 3, 3]);
-    let mut ctx_a = InferenceCtx::new();
     let mut ctx_b = InferenceCtx::new();
     assert_eq!(
-        bn.infer(&x, &mut ctx_a).as_slice(),
-        back.infer(&x, &mut ctx_b).as_slice()
+        bn.forward(&x, &mut ctx_a, None).as_slice(),
+        back.forward(&x, &mut ctx_b, None).as_slice()
     );
 }
 
@@ -86,8 +93,8 @@ fn conv_round_trip_preserves_inference_bitwise() {
     let mut ctx_a = InferenceCtx::new();
     let mut ctx_b = InferenceCtx::new();
     assert_eq!(
-        conv.infer(&x, &mut ctx_a).as_slice(),
-        back.infer(&x, &mut ctx_b).as_slice()
+        conv.forward(&x, &mut ctx_a, None).as_slice(),
+        back.forward(&x, &mut ctx_b, None).as_slice()
     );
 }
 

@@ -16,15 +16,18 @@
 //! reproduces Table I exactly (128 channels, 10 ResBlocks);
 //! [`AgentConfig::tiny`] runs the same code at laptop scale.
 //!
-//! Weights and workspace are split. Inference ([`PolicyValueNet::forward`],
+//! Weights and workspace are split, and one forward body serves inference
+//! and training. Inference ([`PolicyValueNet::forward`],
 //! [`PolicyValueNet::forward_batch`]) takes `&self` plus a caller-owned
 //! [`InferenceCtx`] and accepts any batch size N ≥ 1, so one network can be
 //! shared by many concurrent readers. Training
-//! ([`PolicyValueNet::forward_train_batch`] +
-//! [`PolicyValueNet::backward_batch`]) keeps the `&mut self` tape
-//! discipline and processes whole transition minibatches per pass.
+//! ([`PolicyValueNet::forward_train_batch`]) runs the same body over a
+//! whole transition minibatch with a [`Tape`], which waits in the network
+//! until [`PolicyValueNet::backward_batch`] pops it.
 
-use mmp_nn::{softmax, BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Param, Relu, Tensor};
+use mmp_nn::{
+    softmax, BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Param, Relu, Tape, Tensor,
+};
 use serde::{Deserialize, Serialize};
 
 /// Network size parameters.
@@ -88,28 +91,25 @@ impl ResBlock {
         }
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = self.conv_a.forward(x, train);
-        h = self.bn_a.forward(&h, train);
-        h = self.relu_a.forward(&h, train);
-        h = self.conv_b.forward(&h, train);
-        h = self.bn_b.forward(&h, train);
+    fn forward(&self, x: &Tensor, ctx: &mut InferenceCtx, mut tape: Option<&mut Tape>) -> Tensor {
+        let h = self.conv_a.forward(x, ctx, tape.as_deref_mut());
+        let h = apply(&self.bn_a, h, ctx, tape.as_deref_mut());
+        let h = apply(&self.relu_a, h, ctx, tape.as_deref_mut());
+        let h = apply(&self.conv_b, h, ctx, tape.as_deref_mut());
+        let mut h = apply(&self.bn_b, h, ctx, tape.as_deref_mut());
         h.add_assign(x);
-        self.relu_out.forward(&h, train)
+        apply(&self.relu_out, h, ctx, tape)
     }
 
-    fn infer(&self, x: &Tensor, ctx: &mut InferenceCtx) -> Tensor {
-        let mut h = bn_consuming(&self.bn_a, self.conv_a.infer(x, ctx), ctx);
-        relu_in_place(&mut h);
-        // Recycle bn_a's plane before rebinding `h`: shadowing it would
-        // silently drop the buffer and leak one allocation per block per
-        // forward (caught by the no-alloc-after-warmup assertion).
-        let conv_b_out = self.conv_b.infer(&h, ctx);
-        ctx.recycle_tensor(h);
-        let mut h = bn_consuming(&self.bn_b, conv_b_out, ctx);
-        h.add_assign(x);
-        relu_in_place(&mut h);
-        h
+    fn backward(&mut self, grad: &Tensor, tape: &mut Tape) -> Tensor {
+        let g = self.relu_out.backward(grad, tape);
+        let mut gx = self.bn_b.backward(&g, tape);
+        gx = self.conv_b.backward(&gx, tape);
+        gx = self.relu_a.backward(&gx, tape);
+        gx = self.bn_a.backward(&gx, tape);
+        let mut gi = self.conv_a.backward(&gx, tape);
+        gi.add_assign(&g); // skip path
+        gi
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -120,24 +120,15 @@ impl ResBlock {
     }
 }
 
-/// Applies `bn` to `h`, recycling `h`'s storage into the pool.
-fn bn_consuming(bn: &BatchNorm2d, h: Tensor, ctx: &mut InferenceCtx) -> Tensor {
-    let out = bn.infer(&h, ctx);
+/// Runs `layer` on `h`, returning `h`'s storage to the pool.
+fn apply(layer: &impl Layer, h: Tensor, ctx: &mut InferenceCtx, tape: Option<&mut Tape>) -> Tensor {
+    let out = layer.forward(&h, ctx, tape);
     ctx.recycle_tensor(h);
     out
 }
 
 /// Smallest per-worker slice worth a thread in a parallel batched forward.
 const PAR_MIN_CHUNK: usize = 4;
-
-/// Elementwise ReLU without allocating (matches `Relu::infer` semantics).
-fn relu_in_place(t: &mut Tensor) {
-    for v in t.as_mut_slice() {
-        if v.is_nan() || *v <= 0.0 {
-            *v = 0.0;
-        }
-    }
-}
 
 /// One forward result.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,12 +152,12 @@ pub struct StateRef<'a> {
     pub total: usize,
 }
 
+/// A training forward's outputs and tape, waiting for
+/// [`PolicyValueNet::backward_batch`].
 #[derive(Debug, Clone)]
 struct ForwardCache {
-    /// Per-sample masked action distributions.
-    probs: Vec<Vec<f32>>,
-    /// Per-sample value predictions.
-    values: Vec<f32>,
+    outputs: Vec<NetOutput>,
+    tape: Tape,
 }
 
 /// The shared-trunk policy/value network.
@@ -278,17 +269,23 @@ impl PolicyValueNet {
             let parts: Vec<&[StateRef<'_>]> = states.chunks(chunk).collect();
             let mut worker_ctxs = ctx.take_worker_ctxs();
             let outs = exec.run_with_scratch(parts.len(), &mut worker_ctxs, |i, wctx| {
-                self.forward_batch_seq(parts[i], wctx)
+                self.forward_batch_seq(parts[i], wctx, None)
             });
             ctx.restore_worker_ctxs(worker_ctxs);
             return outs.into_iter().flatten().collect();
         }
-        self.forward_batch_seq(states, ctx)
+        self.forward_batch_seq(states, ctx, None)
     }
 
-    /// Single-threaded batched forward (the arithmetic behind
-    /// [`PolicyValueNet::forward_batch`]).
-    fn forward_batch_seq(&self, states: &[StateRef<'_>], ctx: &mut InferenceCtx) -> Vec<NetOutput> {
+    /// The network's one forward body, single-threaded over the batch:
+    /// inference without a tape, training with one (batch-norm then couples
+    /// the samples, which is why a taped pass never splits the batch).
+    fn forward_batch_seq(
+        &self,
+        states: &[StateRef<'_>],
+        ctx: &mut InferenceCtx,
+        mut tape: Option<&mut Tape>,
+    ) -> Vec<NetOutput> {
         if states.is_empty() {
             return Vec::new();
         }
@@ -304,24 +301,22 @@ impl PolicyValueNet {
         for (s, st) in states.iter().enumerate() {
             input.as_mut_slice()[s * z2..(s + 1) * z2].copy_from_slice(st.s_p);
         }
-        let h = self.conv1.infer(&input, ctx);
-        ctx.recycle_tensor(input);
-        let mut h = bn_consuming(&self.bn1, h, ctx);
-        relu_in_place(&mut h);
+        let h = apply(&self.conv1, input, ctx, tape.as_deref_mut());
+        let h = apply(&self.bn1, h, ctx, tape.as_deref_mut());
+        let mut h = apply(&self.relu1, h, ctx, tape.as_deref_mut());
         for b in &self.blocks {
-            let next = b.infer(&h, ctx);
+            let next = b.forward(&h, ctx, tape.as_deref_mut());
             ctx.recycle_tensor(h);
             h = next;
         }
         let tower_out = h;
 
         // --- policy head -----------------------------------------------
-        let p = self.conv_p.infer(&tower_out, ctx);
-        let mut p = bn_consuming(&self.bn_p, p, ctx);
-        relu_in_place(&mut p);
+        let p = self.conv_p.forward(&tower_out, ctx, tape.as_deref_mut());
+        let p = apply(&self.bn_p, p, ctx, tape.as_deref_mut());
+        let mut p = apply(&self.relu_p, p, ctx, tape.as_deref_mut());
         p.reshape_in_place(&[n, 2 * z2]);
-        let logits = self.fc_p.infer(&p, ctx);
-        ctx.recycle_tensor(p);
+        let logits = apply(&self.fc_p, p, ctx, tape.as_deref_mut());
         let probs: Vec<Vec<f32>> = states
             .iter()
             .enumerate()
@@ -354,20 +349,15 @@ impl PolicyValueNet {
             }
         }
         ctx.recycle_tensor(tower_out);
-        let v = self.conv_v.infer(&v_in, ctx);
-        ctx.recycle_tensor(v_in);
-        let mut v = bn_consuming(&self.bn_v, v, ctx);
-        relu_in_place(&mut v);
+        let v = apply(&self.conv_v, v_in, ctx, tape.as_deref_mut());
+        let v = apply(&self.bn_v, v, ctx, tape.as_deref_mut());
+        let mut v = apply(&self.relu_v, v, ctx, tape.as_deref_mut());
         v.reshape_in_place(&[n, z2]);
-        let mut m = self.lin1.infer(&v, ctx);
-        ctx.recycle_tensor(v);
-        relu_in_place(&mut m);
-        let m2 = self.lin2.infer(&m, ctx);
-        ctx.recycle_tensor(m);
-        let mut m2 = m2;
-        relu_in_place(&mut m2);
-        let values = self.lin3.infer(&m2, ctx);
-        ctx.recycle_tensor(m2);
+        let m = apply(&self.lin1, v, ctx, tape.as_deref_mut());
+        let m = apply(&self.relu_l1, m, ctx, tape.as_deref_mut());
+        let m = apply(&self.lin2, m, ctx, tape.as_deref_mut());
+        let m = apply(&self.relu_l2, m, ctx, tape.as_deref_mut());
+        let values = apply(&self.lin3, m, ctx, tape);
 
         let out = probs
             .into_iter()
@@ -378,133 +368,37 @@ impl PolicyValueNet {
         out
     }
 
-    /// Training-mode forward for one transition (a minibatch of one); see
-    /// [`PolicyValueNet::forward_train_batch`].
-    pub fn forward_train(&mut self, s_p: &[f32], s_a: &[f32], t: usize, total: usize) -> NetOutput {
-        // why: invariant, not input: forward_train_batch returns one output per
-        // state.
-        #[allow(clippy::expect_used)]
-        self.forward_train_batch(&[StateRef { s_p, s_a, t, total }])
-            .pop()
-            .expect("batch of one yields one output")
-    }
-
-    /// Training-mode forward over a minibatch of transitions: batch-norm
-    /// uses minibatch statistics (updating running stats once), and the
-    /// tape caches the whole batch for one
-    /// [`PolicyValueNet::backward_batch`] call.
+    /// Training-mode forward over a minibatch of transitions: the forward
+    /// body with a tape, so batch-norm uses minibatch statistics (folded
+    /// into the running statistics once, by the backward), and the tape
+    /// waits in the network for one [`PolicyValueNet::backward_batch`]
+    /// call.
     ///
     /// # Panics
     ///
     /// Panics on an empty batch or mismatched map lengths.
     pub fn forward_train_batch(&mut self, states: &[StateRef<'_>]) -> Vec<NetOutput> {
         assert!(!states.is_empty(), "training batch must be non-empty");
-        let z = self.config.zeta;
-        let z2 = z * z;
-        let n = states.len();
-        for s in states {
-            self.check_state(s);
-        }
-
-        let mut input = Tensor::zeros(&[n, 1, z, z]);
-        for (s, st) in states.iter().enumerate() {
-            input.as_mut_slice()[s * z2..(s + 1) * z2].copy_from_slice(st.s_p);
-        }
-        let mut h = self.conv1.forward(&input, true);
-        h = self.bn1.forward(&h, true);
-        h = self.relu1.forward(&h, true);
-        for b in &mut self.blocks {
-            h = b.forward(&h, true);
-        }
-        let tower_out = h;
-
-        // --- policy head ---------------------------------------------
-        let mut p = self.conv_p.forward(&tower_out, true);
-        p = self.bn_p.forward(&p, true);
-        p = self.relu_p.forward(&p, true);
-        let p_flat = p.reshaped(&[n, 2 * z2]);
-        let logits = self.fc_p.forward(&p_flat, true);
-        let probs: Vec<Vec<f32>> = states
-            .iter()
-            .enumerate()
-            .map(|(s, st)| {
-                let masked: Vec<f32> = logits.as_slice()[s * z2..(s + 1) * z2]
-                    .iter()
-                    .zip(st.s_a)
-                    .map(|(&l, &a)| l + a.max(1e-30).ln())
-                    .collect();
-                softmax(&masked)
-            })
-            .collect();
-
-        // --- value head -----------------------------------------------
-        let f = self.config.channels;
-        let mut v_in = Tensor::zeros(&[n, f + 2, z, z]);
-        for (s, st) in states.iter().enumerate() {
-            let base = s * (f + 2) * z2;
-            v_in.as_mut_slice()[base..base + f * z2]
-                .copy_from_slice(&tower_out.as_slice()[s * f * z2..(s + 1) * f * z2]);
-            v_in.as_mut_slice()[base + f * z2..base + (f + 1) * z2].copy_from_slice(st.s_p);
-            let embed = if st.total > 0 {
-                st.t as f32 / st.total as f32
-            } else {
-                0.0
-            };
-            for vslot in &mut v_in.as_mut_slice()[base + (f + 1) * z2..base + (f + 2) * z2] {
-                *vslot = embed;
-            }
-        }
-        let mut v = self.conv_v.forward(&v_in, true);
-        v = self.bn_v.forward(&v, true);
-        v = self.relu_v.forward(&v, true);
-        let v_flat = v.reshaped(&[n, z2]);
-        let mut m = self.lin1.forward(&v_flat, true);
-        m = self.relu_l1.forward(&m, true);
-        m = self.lin2.forward(&m, true);
-        m = self.relu_l2.forward(&m, true);
-        let values: Vec<f32> = self.lin3.forward(&m, true).as_slice().to_vec();
-
-        let outputs = probs
-            .iter()
-            .zip(&values)
-            .map(|(p, &value)| NetOutput {
-                probs: p.clone(),
-                value,
-            })
-            .collect();
-        self.cache = Some(ForwardCache { probs, values });
+        let mut tape = Tape::new();
+        let outputs = self.forward_batch_seq(states, &mut InferenceCtx::new(), Some(&mut tape));
+        self.cache = Some(ForwardCache {
+            outputs: outputs.clone(),
+            tape,
+        });
         outputs
     }
 
-    /// Backpropagates the A2C losses of Eqs. 5–7 for the cached forward:
+    /// Backpropagates the summed A2C losses of Eqs. 5–7 over the minibatch
+    /// of the preceding [`PolicyValueNet::forward_train_batch`] call:
     /// policy loss −ln p(a)·A with A = `reward − v` (treated as a
-    /// constant), value loss (reward − v)².
+    /// constant), value loss (reward − v)², plus an entropy bonus −β·H(π)
+    /// (β = 0 is the paper's plain A2C; a positive β keeps the policy from
+    /// collapsing early, an ablatable extension). `targets[s]` is the
+    /// `(action, reward)` pair of sample `s`.
     ///
     /// Gradients accumulate; call an optimizer step plus
     /// [`PolicyValueNet::zero_grad`] per update (every 30 episodes in the
     /// paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics without a preceding training-mode forward.
-    pub fn backward(&mut self, action: usize, reward: f32) {
-        self.backward_batch(&[(action, reward)], 0.0);
-    }
-
-    /// [`PolicyValueNet::backward`] with an entropy bonus −β·H(π) added to
-    /// the loss (β = 0 reproduces the paper's plain A2C; positive β keeps
-    /// the policy from collapsing early — an ablatable extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics without a preceding training-mode forward.
-    pub fn backward_with_entropy(&mut self, action: usize, reward: f32, beta: f32) {
-        self.backward_batch(&[(action, reward)], beta);
-    }
-
-    /// Backpropagates the summed A2C losses of a whole minibatch in one
-    /// pass, matching the preceding [`PolicyValueNet::forward_train_batch`]
-    /// call. `targets[s]` is the `(action, reward)` pair of sample `s`.
     ///
     /// # Panics
     ///
@@ -514,19 +408,46 @@ impl PolicyValueNet {
         // why: documented panic: callers must pair backward with a training
         // forward; see the `# Panics` section.
         #[allow(clippy::expect_used)]
-        let cache = self
+        let ForwardCache { outputs, mut tape } = self
             .cache
             .take()
             .expect("backward without training forward");
         assert_eq!(
             targets.len(),
-            cache.values.len(),
+            outputs.len(),
             "targets must match the cached batch size"
         );
+        let tape = &mut tape;
         let z = self.config.zeta;
         let z2 = z * z;
         let f = self.config.channels;
         let n = targets.len();
+
+        // --- value head gradient ---------------------------------------
+        // The value head ran last, so its records sit on top of the tape.
+        // d(R − v)²/dv = −2(R − v) = −2A.
+        let dv: Vec<f32> = targets
+            .iter()
+            .zip(&outputs)
+            .map(|(&(_, reward), out)| -2.0 * (reward - out.value))
+            .collect();
+        let g = self.lin3.backward(&Tensor::from_vec(&[n, 1], dv), tape);
+        let g = self.relu_l2.backward(&g, tape);
+        let g = self.lin2.backward(&g, tape);
+        let g = self.relu_l1.backward(&g, tape);
+        let mut g = self.lin1.backward(&g, tape);
+        g.reshape_in_place(&[n, 1, z, z]);
+        let g = self.relu_v.backward(&g, tape);
+        let g = self.bn_v.backward(&g, tape);
+        let g = self.conv_v.backward(&g, tape);
+        // Route only the tower channels of the concat input back.
+        let mut v_tower_grad = Tensor::zeros(&[n, f, z, z]);
+        for s in 0..n {
+            let src = s * (f + 2) * z2;
+            let dst = s * f * z2;
+            v_tower_grad.as_mut_slice()[dst..dst + f * z2]
+                .copy_from_slice(&g.as_slice()[src..src + f * z2]);
+        }
 
         // --- policy head gradient -------------------------------------
         // d(−ln p_a · A)/d logits_j = A · (p_j − 1[j = a]); the s_a mask is
@@ -534,8 +455,8 @@ impl PolicyValueNet {
         // term −β·H adds β·p_j·(ln p_j + H).
         let mut dlogits = vec![0.0f32; n * z2];
         for (s, &(action, reward)) in targets.iter().enumerate() {
-            let probs = &cache.probs[s];
-            let advantage = reward - cache.values[s];
+            let probs = &outputs[s].probs;
+            let advantage = reward - outputs[s].value;
             let entropy: f32 = probs
                 .iter()
                 .filter(|&&p| p > 0.0)
@@ -549,46 +470,24 @@ impl PolicyValueNet {
                 }
             }
         }
-        let g = self.fc_p.backward(&Tensor::from_vec(&[n, z2], dlogits));
-        let g = g.reshaped(&[n, 2, z, z]);
-        let g = self.relu_p.backward(&g);
-        let g = self.bn_p.backward(&g);
-        let mut tower_grad = self.conv_p.backward(&g);
-
-        // --- value head gradient ---------------------------------------
-        // d(R − v)²/dv = −2(R − v) = −2A.
-        let dv: Vec<f32> = targets
-            .iter()
-            .enumerate()
-            .map(|(s, &(_, reward))| -2.0 * (reward - cache.values[s]))
-            .collect();
-        let g = self.lin3.backward(&Tensor::from_vec(&[n, 1], dv));
-        let g = self.relu_l2.backward(&g);
-        let g = self.lin2.backward(&g);
-        let g = self.relu_l1.backward(&g);
-        let g = self.lin1.backward(&g);
-        let g = g.reshaped(&[n, 1, z, z]);
-        let g = self.relu_v.backward(&g);
-        let g = self.bn_v.backward(&g);
-        let g = self.conv_v.backward(&g);
-        // Route only the tower channels of the concat input back.
-        let mut v_tower_grad = Tensor::zeros(&[n, f, z, z]);
-        for s in 0..n {
-            let src = s * (f + 2) * z2;
-            let dst = s * f * z2;
-            v_tower_grad.as_mut_slice()[dst..dst + f * z2]
-                .copy_from_slice(&g.as_slice()[src..src + f * z2]);
-        }
+        let mut g = self
+            .fc_p
+            .backward(&Tensor::from_vec(&[n, z2], dlogits), tape);
+        g.reshape_in_place(&[n, 2, z, z]);
+        let g = self.relu_p.backward(&g, tape);
+        let g = self.bn_p.backward(&g, tape);
+        let mut tower_grad = self.conv_p.backward(&g, tape);
         tower_grad.add_assign(&v_tower_grad);
 
         // --- trunk -------------------------------------------------------
         let mut g = tower_grad;
         for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
+            g = b.backward(&g, tape);
         }
-        let g = self.relu1.backward(&g);
-        let g = self.bn1.backward(&g);
-        let _ = self.conv1.backward(&g);
+        let g = self.relu1.backward(&g, tape);
+        let g = self.bn1.backward(&g, tape);
+        let _ = self.conv1.backward(&g, tape);
+        debug_assert!(tape.is_empty(), "backward must pop every forward record");
     }
 
     /// Visits every trainable parameter (optimizer + checkpoint hook).
@@ -614,19 +513,6 @@ impl PolicyValueNet {
     }
 }
 
-impl ResBlock {
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = self.relu_out.backward(grad);
-        let mut gx = self.bn_b.backward(&g);
-        gx = self.conv_b.backward(&gx);
-        gx = self.relu_a.backward(&gx);
-        gx = self.bn_a.backward(&gx);
-        let mut gi = self.conv_a.backward(&gx);
-        gi.add_assign(&g); // skip path
-        gi
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,6 +528,16 @@ mod tests {
 
     fn uniform_state(z2: usize) -> (Vec<f32>, Vec<f32>) {
         (vec![0.3; z2], vec![1.0; z2])
+    }
+
+    /// A one-transition training batch at step `t` of 5.
+    fn one<'a>(s_p: &'a [f32], s_a: &'a [f32], t: usize) -> [StateRef<'a>; 1] {
+        [StateRef {
+            s_p,
+            s_a,
+            t,
+            total: 5,
+        }]
     }
 
     #[test]
@@ -708,7 +604,7 @@ mod tests {
         let (s_p, s_a) = uniform_state(16);
         // A training pass populates the skipped forward cache; it must be
         // dropped on save, not corrupt the payload.
-        let _ = net.forward_train(&s_p, &s_a, 1, 5);
+        let _ = net.forward_train_batch(&one(&s_p, &s_a, 1));
         let json = serde_json::to_string(&net).expect("net serializes");
         let back: PolicyValueNet = serde_json::from_str(&json).expect("net deserializes");
         assert_eq!(
@@ -716,7 +612,7 @@ mod tests {
             json,
             "weights must survive serialize→deserialize bitwise"
         );
-        // The restored net's cache rebuilds on first use: inference and
+        // The restored net starts without a cache; its inference and
         // training outputs are bitwise identical to the original's.
         let mut ctx_a = InferenceCtx::new();
         let mut ctx_b = InferenceCtx::new();
@@ -726,8 +622,8 @@ mod tests {
         );
         let mut back = back;
         assert_eq!(
-            net.forward_train(&s_p, &s_a, 2, 5),
-            back.forward_train(&s_p, &s_a, 2, 5)
+            net.forward_train_batch(&one(&s_p, &s_a, 2)),
+            back.forward_train_batch(&one(&s_p, &s_a, 2))
         );
     }
 
@@ -852,9 +748,9 @@ mod tests {
         let mut opt = mmp_nn::Sgd::new(0.005, 0.0);
         let before = net.forward(&s_p, &s_a, 0, 5, &mut ctx).probs[5];
         for _ in 0..25 {
-            let out = net.forward_train(&s_p, &s_a, 0, 5);
+            let out = net.forward_train_batch(&one(&s_p, &s_a, 0));
             // reward chosen so the advantage is clearly positive
-            net.backward(5, out.value + 1.0);
+            net.backward_batch(&[(5, out[0].value + 1.0)], 0.0);
             use mmp_nn::Optimizer;
             opt.begin_step();
             net.visit_params(&mut |p| opt.update(p));
@@ -875,49 +771,19 @@ mod tests {
         let mut opt = mmp_nn::Adam::new(0.01);
         let target = 0.8f32;
         for _ in 0..60 {
-            let out = net.forward_train(&s_p, &s_a, 2, 5);
+            let _ = net.forward_train_batch(&one(&s_p, &s_a, 2));
             // Use a never-chosen action irrelevant for value learning.
-            net.backward(0, target);
+            net.backward_batch(&[(0, target)], 0.0);
             use mmp_nn::Optimizer;
             opt.begin_step();
             net.visit_params(&mut |p| opt.update(p));
             net.zero_grad();
-            let _ = out;
         }
         let v = net.forward(&s_p, &s_a, 2, 5, &mut ctx).value;
         assert!(
             (v - target).abs() < 0.3,
             "value {v} should approach {target}"
         );
-    }
-
-    #[test]
-    fn batched_update_gradients_match_summed_singles() {
-        // With batch-norm minibatch statistics the forward activations
-        // differ between batched and looped updates, but the batched
-        // gradient must still match the sum of single-sample gradients
-        // computed at the *same* activations — verified here on a
-        // one-sample batch, where the two paths coincide exactly.
-        let mut a = tiny_net();
-        let mut b = tiny_net();
-        let (s_p, s_a) = uniform_state(16);
-        let _ = a.forward_train(&s_p, &s_a, 0, 5);
-        a.backward(3, 0.7);
-        let _ = b.forward_train_batch(&[StateRef {
-            s_p: &s_p,
-            s_a: &s_a,
-            t: 0,
-            total: 5,
-        }]);
-        b.backward_batch(&[(3, 0.7)], 0.0);
-        let mut ga = Vec::new();
-        a.visit_params(&mut |p| ga.extend_from_slice(p.grad.as_slice()));
-        let mut gb = Vec::new();
-        b.visit_params(&mut |p| gb.extend_from_slice(p.grad.as_slice()));
-        assert_eq!(ga.len(), gb.len());
-        for (x, y) in ga.iter().zip(&gb) {
-            assert!((x - y).abs() < 1e-6, "{x} vs {y}");
-        }
     }
 
     #[test]
@@ -951,12 +817,159 @@ mod tests {
         );
     }
 
+    /// An owned transition: `(s_p, s_a, t)`.
+    type Transition = (Vec<f32>, Vec<f32>, usize);
+
+    /// Three distinct transitions (occupancy ramps, partly and fully masked
+    /// cells, steps 0, 2 and 4 of 5) with `(action, reward)` targets on
+    /// available cells.
+    fn varied_batch() -> (Vec<Transition>, [(usize, f32); 3]) {
+        let batch = (0..3)
+            .map(|s| {
+                let s_p: Vec<f32> = (0..16)
+                    .map(|i| ((i * 7 + s * 5) % 11) as f32 / 10.0)
+                    .collect();
+                let mut s_a = vec![1.0; 16];
+                s_a[3 * s] = 0.0;
+                s_a[3 * s + 2] = 0.5;
+                (s_p, s_a, 2 * s)
+            })
+            .collect();
+        (batch, [(1, 0.9), (5, -0.4), (13, 0.2)])
+    }
+
+    fn refs(batch: &[Transition]) -> Vec<StateRef<'_>> {
+        batch
+            .iter()
+            .map(|(s_p, s_a, t)| StateRef {
+                s_p,
+                s_a,
+                t: *t,
+                total: 5,
+            })
+            .collect()
+    }
+
+    /// The summed loss `backward_batch` differentiates: −ln p(a)·A + (R − v)²
+    /// − β·H(π) per sample, with each advantage held at `advantages[s]`
+    /// because the backward treats A as a constant.
+    fn a2c_loss(
+        net: &mut PolicyValueNet,
+        states: &[StateRef<'_>],
+        targets: &[(usize, f32)],
+        advantages: &[f32],
+        beta: f32,
+    ) -> f64 {
+        let outs = net.forward_train_batch(states);
+        let mut loss = 0.0;
+        for ((out, &(action, reward)), &adv) in outs.iter().zip(targets).zip(advantages) {
+            let entropy: f64 = out
+                .probs
+                .iter()
+                .filter(|&&p| p > 0.0)
+                .map(|&p| -f64::from(p) * f64::from(p).ln())
+                .sum();
+            loss += -f64::from(out.probs[action]).ln() * f64::from(adv)
+                + (f64::from(reward) - f64::from(out.value)).powi(2)
+                - f64::from(beta) * entropy;
+        }
+        loss
+    }
+
+    /// Compares `backward_batch`'s gradient with a central difference of
+    /// [`a2c_loss`] along a fixed ±1 direction over every parameter.
+    fn check_a2c_gradient(beta: f32) {
+        let mut net = tiny_net();
+        let (batch, targets) = varied_batch();
+        let states = refs(&batch);
+        let outs = net.forward_train_batch(&states);
+        let advantages: Vec<f32> = targets
+            .iter()
+            .zip(&outs)
+            .map(|(&(_, reward), out)| reward - out.value)
+            .collect();
+        net.zero_grad();
+        net.backward_batch(&targets, beta);
+
+        let mut dir = Vec::new();
+        let mut analytic = 0.0f64;
+        let mut bits = 0x2545_f491_4f6c_dd1du64;
+        net.visit_params(&mut |p| {
+            for &g in p.grad.as_slice() {
+                bits ^= bits << 13;
+                bits ^= bits >> 7;
+                bits ^= bits << 17;
+                let d = if bits & 1 == 0 { 1.0f32 } else { -1.0 };
+                analytic += f64::from(g) * f64::from(d);
+                dir.push(d);
+            }
+        });
+        let shift = |net: &mut PolicyValueNet, eps: f32| {
+            let mut i = 0;
+            net.visit_params(&mut |p| {
+                for v in p.value.as_mut_slice() {
+                    *v += eps * dir[i];
+                    i += 1;
+                }
+            });
+        };
+        // From 5e-4 up, ReLUs along the path change side and move the
+        // quotient by a fifth; below 1e-4, the loss's f32 rounding (about
+        // 1e-6) dominates it.
+        let eps = 2e-4f32;
+        shift(&mut net, eps);
+        let lp = a2c_loss(&mut net, &states, &targets, &advantages, beta);
+        shift(&mut net, -2.0 * eps);
+        let lm = a2c_loss(&mut net, &states, &targets, &advantages, beta);
+        let numeric = (lp - lm) / f64::from(2.0 * eps);
+        assert!(
+            (analytic - numeric).abs() <= 2e-2 * numeric.abs().max(1.0),
+            "beta {beta}: analytic {analytic}, numeric {numeric}"
+        );
+    }
+
+    #[test]
+    fn batched_gradient_matches_finite_differences_of_the_a2c_loss() {
+        check_a2c_gradient(0.0);
+    }
+
+    #[test]
+    fn entropy_bonus_gradient_matches_finite_differences() {
+        check_a2c_gradient(0.05);
+    }
+
+    #[test]
+    fn running_statistics_move_only_when_a_taped_pass_is_backpropagated() {
+        let mut net = tiny_net();
+        let mut ctx = InferenceCtx::new();
+        let (s_p, s_a) = uniform_state(16);
+        let (batch, targets) = varied_batch();
+        let weights = |net: &mut PolicyValueNet| {
+            let mut w = Vec::new();
+            net.visit_params(&mut |p| w.extend_from_slice(p.value.as_slice()));
+            w
+        };
+        let before = net.forward(&s_p, &s_a, 1, 5, &mut ctx);
+        let w_before = weights(&mut net);
+        let _ = net.forward_train_batch(&refs(&batch));
+        assert_eq!(
+            net.forward(&s_p, &s_a, 1, 5, &mut ctx),
+            before,
+            "a taped forward moves nothing"
+        );
+        net.backward_batch(&targets, 0.0);
+        // No optimizer step: the weights stay, batch-norm's running
+        // statistics take in the batch.
+        assert_eq!(weights(&mut net), w_before);
+        assert_ne!(net.forward(&s_p, &s_a, 1, 5, &mut ctx), before);
+    }
+
     #[test]
     #[should_panic(expected = "targets must match")]
     fn target_count_mismatch_panics() {
         let mut net = tiny_net();
         let (s_p, s_a) = uniform_state(16);
-        let _ = net.forward_train(&s_p, &s_a, 0, 5);
+        let _ = net.forward_train_batch(&one(&s_p, &s_a, 0));
         net.backward_batch(&[(0, 0.0), (1, 0.0)], 0.0);
     }
 
@@ -977,7 +990,7 @@ mod tests {
         let mut ctx = InferenceCtx::new();
         let (s_p, s_a) = uniform_state(16);
         let _ = net.forward(&s_p, &s_a, 0, 5, &mut ctx);
-        net.backward(0, 1.0);
+        net.backward_batch(&[(0, 1.0)], 0.0);
     }
 
     #[test]
@@ -1001,8 +1014,8 @@ mod tests {
             let (s_p, s_a) = uniform_state(16);
             let mut opt = mmp_nn::Sgd::new(0.01, 0.0);
             for _ in 0..60 {
-                let out = net.forward_train(&s_p, &s_a, 0, 5);
-                net.backward_with_entropy(5, out.value, beta); // advantage 0
+                let out = net.forward_train_batch(&one(&s_p, &s_a, 0));
+                net.backward_batch(&[(5, out[0].value)], beta); // advantage 0
                 opt.begin_step();
                 net.visit_params(&mut |p| opt.update(p));
                 net.zero_grad();

@@ -1006,6 +1006,45 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bookshelf_net_degree_is_a_bad_request_and_the_daemon_keeps_serving() {
+        let dir = tmp("hostile-degree");
+        let server = Server::start(config(&dir, 1)).unwrap();
+        // `usize::MAX / 3 + 1` times 3 wraps to the two pin tokens in a
+        // release build. The reader used to panic on it inside the worker,
+        // which left the job in flight forever and wedged the daemon.
+        let text = format!(
+            "REGION 0 0 10 10\\nNODES\\nm 1 1 macro hier=\\nNETS\\nn 1 {} : m 0\\nEND\\n",
+            usize::MAX / 3 + 1
+        );
+        server.handle_request(&format!(
+            r#"{{"op":"submit","id":"hostile","design":{{"bookshelf":"{text}"}}}}"#
+        ));
+        // Bounded poll: a dead worker must fail the test, not hang it.
+        let deadline = crate::clock::now() + std::time::Duration::from_secs(60);
+        let v = loop {
+            let line = server.handle_request(r#"{"op":"result","id":"hostile"}"#);
+            let v = serde_json::parse_value(&line).unwrap();
+            if map_get(&v, "ok") == Some(&Value::Bool(false)) {
+                break v;
+            }
+            assert!(crate::clock::now() < deadline, "no reply: {line}");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        };
+        let err = map_get(&v, "error").unwrap();
+        assert_eq!(
+            map_get(err, "kind"),
+            Some(&Value::Str("bad-request".into())),
+            "{v:?}"
+        );
+        // The same worker then runs the next job to completion.
+        server.handle_request(&submit_line("next", ""));
+        let done = poll_done(&server, "next");
+        assert_eq!(map_get(&done, "state"), Some(&Value::Str("done".into())));
+        server.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn admission_gates_reject_with_typed_errors() {
         let dir = tmp("admission");
         let mut cfg = config(&dir, 0);

@@ -1,5 +1,5 @@
 //! Visualize the flow's stages as SVG files: the analytical prototyping
-//! placement, the legalized MCTS allocation, and the boundary-refined
+//! placement, the legalized MCTS allocation, and the swap-refined
 //! variant.
 //!
 //! ```sh
@@ -7,8 +7,10 @@
 //! ls mmp_viz_*.svg
 //! ```
 
-use mmp_core::{GlobalPlacer, GlobalPlacerConfig, MacroPlacer, PlacerConfig, SyntheticSpec};
-use mmp_legal::BoundaryRefiner;
+use mmp_core::{
+    GlobalPlacer, GlobalPlacerConfig, MacroPlacer, PlacerConfig, SwapRefineConfig, SwapRefiner,
+    SyntheticSpec,
+};
 use mmp_netlist::svg;
 use std::fs::File;
 use std::io::BufWriter;
@@ -47,12 +49,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     save(&design, &result.placement, "mmp_viz_2_placed.svg")?;
     println!("placed HPWL    = {:.0} (legal)", result.hpwl);
 
-    // Stage 3: optional IncreMacro-style boundary refinement.
-    let refined = BoundaryRefiner::new().refine(&design, &result.placement);
+    // Stage 3: optional seeded swap/relocate refinement.
+    let refined =
+        SwapRefiner::new(SwapRefineConfig::default()).refine(&design, &result.placement, None);
     save(&design, &refined.placement, "mmp_viz_3_refined.svg")?;
     println!(
-        "refined HPWL   = {:.0} ({} boundary moves)",
-        refined.hpwl_after, refined.moves
+        "refined HPWL   = {:.0} ({} of {} proposals accepted)",
+        refined.hpwl_after, refined.accepted, refined.proposed
     );
     Ok(())
 }

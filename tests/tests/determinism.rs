@@ -5,7 +5,7 @@
 //! OS-seeded randomness, or wall-clock leakage reached a decision.
 
 use mmp_core::{
-    MacroPlacer, PlacementResult, PlacerConfig, RunReport, SwapRefineConfig, SyntheticSpec,
+    MacroPlacer, PlacementResult, PlacerConfig, RunReport, SwapRefineConfig, SyntheticSpec, Trainer,
 };
 use mmp_netlist::MacroId;
 use mmp_obs::Obs;
@@ -173,6 +173,53 @@ fn pooled_flow_is_bitwise_deterministic_across_two_runs_and_worker_counts() {
         assert_eq!(
             pa.counters, pb.counters,
             "{mode}: observability counters drifted"
+        );
+    }
+}
+
+/// FNV-1a hash of the trained agent's JSON, recorded from commit 573fd9b
+/// (x86-64, glibc libm).
+const PINNED_AGENT_JSON_FNV1A: u64 = 9_114_452_914_176_466_202;
+/// `to_bits()` of the final HPWL, recorded alongside
+/// [`PINNED_AGENT_JSON_FNV1A`].
+const PINNED_HPWL_BITS: u64 = 4_669_403_135_949_215_368;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn training_and_placement_bits_match_the_recorded_constants() {
+    // The tests above compare two runs of one build, so a refactor that
+    // moves a bit in both runs alike passes them. This one compares a
+    // trained agent and a final HPWL against constants recorded from an
+    // earlier commit. A change to the libm or the target architecture
+    // may move them; a change to the code must not.
+    let design = SyntheticSpec::small("det_pin", 10, 2, 14, 120, 200, true, 21).generate();
+    for workers in [1usize, 4] {
+        let mut cfg = small_config();
+        cfg.workers = workers;
+        cfg.trainer.episodes = 36;
+        cfg.trainer.coarse_eval = false;
+        let pool = mmp_pool::ThreadPool::try_new(workers).unwrap();
+        let outcome = Trainer::try_new(&design, cfg.trainer.clone())
+            .unwrap()
+            .with_pool(pool)
+            .train();
+        let json = serde_json::to_string(&outcome.agent).unwrap();
+        assert_eq!(
+            fnv1a(json.as_bytes()),
+            PINNED_AGENT_JSON_FNV1A,
+            "workers={workers}: trained agent drifted from the recorded bits"
+        );
+        let result = MacroPlacer::new(cfg).place(&design).unwrap();
+        assert_eq!(
+            result.hpwl.to_bits(),
+            PINNED_HPWL_BITS,
+            "workers={workers}: HPWL {} drifted from the recorded bits",
+            result.hpwl
         );
     }
 }

@@ -2,7 +2,7 @@
 //! evaluators: under arbitrary seeded move/swap/orient/revert sequences,
 //! the delta-maintained totals must equal a from-scratch recompute **to
 //! the bit** — the property every migrated consumer (legalizer flip,
-//! boundary refine, SA/SE baselines, the coarse RL evaluator, the swap
+//! SA/SE baselines, the coarse RL evaluator, the swap
 //! refiner) relies on.
 
 use mmp_cluster::{ClusterParams, CoarseHpwlCache, Coarsener};
