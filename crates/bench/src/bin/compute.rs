@@ -14,6 +14,9 @@
 //! * `forward` — `PolicyValueNet::forward_batch` latency at the tiny and
 //!   paper (ζ = 16, 128 channels, 10 ResBlocks) architectures, tiled vs
 //!   reference kernels through an unmodified forward pass;
+//! * `train_update` — one A2C update of the tiny ζ = 8 net: a taped
+//!   `forward_train_batch` plus `backward_batch` over 64 transitions (the
+//!   trainer's update chunk);
 //! * `cg` — one preconditioned CG solve on a grid Laplacian;
 //! * `thread_scaling` — the same forward/CG work under 1/2/4 pool
 //!   workers, with the bitwise-identity of every output asserted (the
@@ -37,6 +40,18 @@ use std::time::Instant;
 #[allow(clippy::disallowed_methods)]
 fn smoke() -> bool {
     std::env::var("MMP_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// `true` when `mmp_nn::matmul` takes its AVX2 arm on this host.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// Median seconds per call of `f` over `reps` timed calls.
@@ -92,6 +107,16 @@ struct ForwardRow {
 }
 
 #[derive(Serialize)]
+struct TrainRow {
+    arch: String,
+    zeta: usize,
+    channels: usize,
+    res_blocks: usize,
+    batch: usize,
+    update_ms: f64,
+}
+
+#[derive(Serialize)]
 struct CgRow {
     n: usize,
     nnz: usize,
@@ -111,8 +136,11 @@ struct ScaleRow {
 #[derive(Serialize)]
 struct Snapshot {
     smoke: bool,
+    /// Whether the host ran the GEMM's AVX2 arm.
+    avx2: bool,
     gemm: Vec<GemmRow>,
     forward: Vec<ForwardRow>,
+    train_update: TrainRow,
     cg: CgRow,
     thread_scaling: Vec<ScaleRow>,
 }
@@ -213,6 +241,43 @@ fn bench_forward(arch: &str, cfg: AgentConfig, batch: usize, reps: usize) -> For
         reference_ms: ref_s * 1e3,
         tiled_ms: tiled_s * 1e3,
         speedup: ref_s / tiled_s,
+    }
+}
+
+/// Times one A2C update (taped forward, backward, gradient reset) of the
+/// tiny net over a `batch`-transition chunk.
+fn bench_train_update(batch: usize, reps: usize) -> TrainRow {
+    let cfg = AgentConfig::tiny(8);
+    let mut net = PolicyValueNet::new(cfg);
+    let states = make_states(cfg.zeta, batch);
+    let refs: Vec<StateRef<'_>> = states
+        .iter()
+        .enumerate()
+        .map(|(t, (s_p, s_a))| StateRef {
+            s_p,
+            s_a,
+            t,
+            total: batch,
+        })
+        .collect();
+    let z2 = cfg.zeta * cfg.zeta;
+    let targets: Vec<(usize, f32)> = (0..batch)
+        .map(|s| ((s * 7) % z2, 0.5 - s as f32 / batch as f32))
+        .collect();
+    let mut update = || {
+        std::hint::black_box(net.forward_train_batch(&refs));
+        net.backward_batch(&targets, 0.0);
+        net.zero_grad();
+    };
+    update();
+    let update_s = median_s(reps, update);
+    TrainRow {
+        arch: "tiny_z8".to_owned(),
+        zeta: cfg.zeta,
+        channels: cfg.channels,
+        res_blocks: cfg.res_blocks,
+        batch,
+        update_ms: update_s * 1e3,
     }
 }
 
@@ -345,6 +410,13 @@ fn main() {
         );
     }
 
+    // --- A2C update -----------------------------------------------------
+    let train_update = bench_train_update(64, if smoke { 3 } else { 21 });
+    println!(
+        "\nA2C update {} batch {}: {:.2} ms (forward_train_batch + backward_batch)",
+        train_update.arch, train_update.batch, train_update.update_ms
+    );
+
     // --- CG solve -------------------------------------------------------
     let cg_side = if smoke { 24 } else { 64 };
     let cg_reps = if smoke { 3 } else { 5 };
@@ -395,8 +467,10 @@ fn main() {
 
     let snapshot = Snapshot {
         smoke,
+        avx2: avx2(),
         gemm,
         forward,
+        train_update,
         cg: cg_row,
         thread_scaling,
     };

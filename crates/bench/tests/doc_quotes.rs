@@ -1,7 +1,7 @@
 //! Documentation numbers come from the committed snapshots. README.md and
-//! EXPERIMENTS.md may quote only the GEMM ranges and the paper-scale
-//! forward speedup that `results/BENCH_compute.json` gives, and no
-//! `results/*.txt` log may carry cargo's build output.
+//! EXPERIMENTS.md may quote only the GEMM ranges, the paper-scale forward
+//! speedup and the A2C update time that `results/BENCH_compute.json`
+//! gives, and no `results/*.txt` log may carry cargo's build output.
 
 use serde::{map_get, Value};
 use std::path::{Path, PathBuf};
@@ -47,6 +47,7 @@ struct Quotes {
     speedup: String,
     paper_speedup: String,
     paper_times: String,
+    update_ms: String,
 }
 
 fn snapshot_quotes() -> Quotes {
@@ -66,6 +67,10 @@ fn snapshot_quotes() -> Quotes {
             num(paper, "reference_ms") / 1e3,
             num(paper, "tiled_ms") / 1e3
         ),
+        update_ms: match map_get(&snap, "train_update") {
+            Some(row) => format!("{:.1}", num(row, "update_ms")),
+            None => panic!("snapshot has no train_update row"),
+        },
     }
 }
 
@@ -74,25 +79,27 @@ fn numeric(s: &str) -> bool {
     !s.is_empty() && s.split('–').all(|p| p.parse::<f64>().is_ok())
 }
 
-/// Checks every snapshot quote in `rel`; returns how many it found:
+/// Checks every snapshot quote in `rel`; returns what it found, once per
+/// quote:
 /// numbers before `GFLOP/s` (tiled) or `scalar`, ranges before `×` (GEMM
 /// speedup), a single `N×` followed by `forward` (paper-scale speedup),
-/// and `a s → b s` (paper-scale forward times).
-fn check_doc(rel: &str, q: &Quotes) -> usize {
+/// `a s → b s` (paper-scale forward times) and `N ms` followed by `A2C`
+/// (the update time).
+fn check_doc(rel: &str, q: &Quotes) -> Vec<&'static str> {
     let text = read(rel);
     let words: Vec<&str> = text.split_whitespace().collect();
-    let mut found = 0;
+    let mut found = Vec::new();
     for (i, w) in words.iter().enumerate() {
         let core = w
             .trim_matches(|c: char| "()[],;:*~".contains(c))
             .trim_end_matches('.');
         let next = words.get(i + 1).copied().unwrap_or("");
-        let mut expect = |want: &str, got: &str, what: &str| {
+        let mut expect = |want: &str, got: &str, what: &'static str| {
             assert_eq!(
                 got, want,
                 "{rel} quotes {what} `{got}`; the snapshot gives `{want}`"
             );
-            found += 1;
+            found.push(what);
         };
         if numeric(core) && next.starts_with("GFLOP/s") {
             expect(&q.tiled, core, "tiled GEMM GFLOP/s");
@@ -106,6 +113,12 @@ fn check_doc(rel: &str, q: &Quotes) -> usize {
             } else if words[i + 1..].iter().take(4).any(|w| w.contains("forward")) {
                 expect(&q.paper_speedup, x, "the paper-scale forward speedup");
             }
+        }
+        if numeric(core)
+            && next.starts_with("ms")
+            && words[i + 1..].iter().take(4).any(|w| w.contains("A2C"))
+        {
+            expect(&q.update_ms, core, "the A2C update time");
         }
         if *w == "→" && i >= 2 && words[i - 1] == "s" && next != "s" {
             let after = words.get(i + 2).copied().unwrap_or("");
@@ -122,10 +135,16 @@ fn check_doc(rel: &str, q: &Quotes) -> usize {
 fn docs_quote_the_compute_snapshot() {
     let q = snapshot_quotes();
     for rel in ["README.md", "EXPERIMENTS.md"] {
-        assert!(
-            check_doc(rel, &q) >= 4,
-            "{rel} should quote the snapshot's GEMM ranges and paper-scale speedup"
-        );
+        let found = check_doc(rel, &q);
+        for what in [
+            "tiled GEMM GFLOP/s",
+            "scalar GEMM GFLOP/s",
+            "the GEMM speedup range",
+            "the paper-scale forward speedup",
+            "the A2C update time",
+        ] {
+            assert!(found.contains(&what), "{rel} should quote {what}");
+        }
     }
 }
 

@@ -126,6 +126,7 @@ impl Default for LintConfig {
                 "crates/serve/src/clock.rs",
             ]),
             denied_lints: s(&[
+                "unsafe_code",
                 "clippy::disallowed_methods",
                 "clippy::unwrap_used",
                 "clippy::expect_used",

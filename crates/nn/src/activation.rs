@@ -33,10 +33,10 @@ impl Layer for Relu {
     fn backward(&mut self, grad_out: &Tensor, tape: &mut Tape) -> Tensor {
         let mask = tape.masks.pop().expect("backward without forward");
         let mut grad_in = grad_out.clone();
-        for (g, m) in grad_in.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
+        // A select, not a branch: the mask follows the data, so a branch
+        // would mispredict about half the time.
+        for (g, m) in grad_in.as_mut_slice().iter_mut().zip(&mask) {
+            *g = if *m { *g } else { 0.0 };
         }
         grad_in
     }
@@ -77,6 +77,22 @@ mod tests {
         let g = layer.backward(&Tensor::from_vec(&[4], vec![1.0; 4]), &mut tape);
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
         assert!(tape.is_empty(), "backward pops the mask");
+    }
+
+    /// NaN and both zeros are not positive, so their gradient is +0.0;
+    /// where the input is positive the upstream gradient passes through
+    /// bit for bit, NaN and −0.0 included.
+    #[test]
+    fn relu_backward_keeps_exact_bits_on_nan_and_signed_zeros() {
+        let mut layer = Relu::new();
+        let mut tape = Tape::new();
+        let x = Tensor::from_vec(&[6], vec![f32::NAN, -0.0, 0.0, 1.0, 2.0, 3.0]);
+        let _ = layer.forward(&x, &mut InferenceCtx::new(), Some(&mut tape));
+        let up = vec![-1.0, 5.0, f32::NAN, f32::NAN, -0.0, 0.25];
+        let g = layer.backward(&Tensor::from_vec(&[6], up.clone()), &mut tape);
+        let want = [0.0, 0.0, 0.0, up[3], -0.0, 0.25];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(g.as_slice()), bits(&want));
     }
 
     #[test]

@@ -51,19 +51,13 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// im2col for one sample: `[C·k·k, H·W]`.
-    fn im2col(&self, sample: &[f32], h: usize, w: usize) -> Vec<f32> {
-        let ckk = self.in_channels * self.kernel * self.kernel;
-        let mut cols = vec![0.0f32; ckk * h * w];
-        self.im2col_into(sample, h, w, &mut cols);
-        cols
-    }
-
-    /// [`Conv2d::im2col`] into a caller-provided buffer.
+    /// im2col for one sample into `cols`, shaped `[C·k·k, H·W]`.
     ///
     /// Padding positions are never written, so the buffer must start
     /// zeroed; in-bounds positions are fully overwritten, so the same
-    /// buffer can be reused across samples without re-zeroing.
+    /// buffer can be reused across samples without re-zeroing. For each
+    /// (channel, ky, kx, output row) the in-bounds `x` form one contiguous
+    /// span ([`span`]), copied in one `copy_from_slice`.
     fn im2col_into(&self, sample: &[f32], h: usize, w: usize, cols: &mut [f32]) {
         let k = self.kernel;
         let pad = k / 2;
@@ -72,20 +66,16 @@ impl Conv2d {
             let plane = &sample[c * hw..(c + 1) * hw];
             for ky in 0..k {
                 for kx in 0..k {
+                    let xs = span(kx, pad, w);
+                    if xs.is_empty() {
+                        continue;
+                    }
+                    let (x0, len, sx0) = (xs.start, xs.len(), xs.start + kx - pad);
                     let row = (c * k + ky) * k + kx;
                     let out_row = &mut cols[row * hw..(row + 1) * hw];
-                    for y in 0..h {
-                        let sy = y as isize + ky as isize - pad as isize;
-                        if sy < 0 || sy >= h as isize {
-                            continue;
-                        }
-                        for x in 0..w {
-                            let sx = x as isize + kx as isize - pad as isize;
-                            if sx < 0 || sx >= w as isize {
-                                continue;
-                            }
-                            out_row[y * w + x] = plane[sy as usize * w + sx as usize];
-                        }
+                    for y in span(ky, pad, h) {
+                        let (d, s) = (y * w + x0, (y + ky - pad) * w + sx0);
+                        out_row[d..d + len].copy_from_slice(&plane[s..s + len]);
                     }
                 }
             }
@@ -93,6 +83,10 @@ impl Conv2d {
     }
 
     /// Scatter-add of column gradients back to an input-shaped buffer.
+    ///
+    /// Walks (channel, ky, kx, output row, x) in the same order as
+    /// [`Conv2d::im2col_into`], so each input element receives its
+    /// column-gradient terms in that fixed order.
     fn col2im(&self, cols_grad: &[f32], h: usize, w: usize, out: &mut [f32]) {
         let k = self.kernel;
         let pad = k / 2;
@@ -101,25 +95,31 @@ impl Conv2d {
             let plane = &mut out[c * hw..(c + 1) * hw];
             for ky in 0..k {
                 for kx in 0..k {
+                    let xs = span(kx, pad, w);
+                    if xs.is_empty() {
+                        continue;
+                    }
+                    let (x0, len, sx0) = (xs.start, xs.len(), xs.start + kx - pad);
                     let row = (c * k + ky) * k + kx;
                     let col_row = &cols_grad[row * hw..(row + 1) * hw];
-                    for y in 0..h {
-                        let sy = y as isize + ky as isize - pad as isize;
-                        if sy < 0 || sy >= h as isize {
-                            continue;
-                        }
-                        for x in 0..w {
-                            let sx = x as isize + kx as isize - pad as isize;
-                            if sx < 0 || sx >= w as isize {
-                                continue;
-                            }
-                            plane[sy as usize * w + sx as usize] += col_row[y * w + x];
+                    for y in span(ky, pad, h) {
+                        let (d, s) = ((y + ky - pad) * w + sx0, y * w + x0);
+                        for (p, g) in plane[d..d + len].iter_mut().zip(&col_row[s..s + len]) {
+                            *p += g;
                         }
                     }
                 }
             }
         }
     }
+}
+
+/// The output positions `o` along one axis of length `len` whose source
+/// `o + tap - pad` lies inside `0..len`, as one range: empty when the tap
+/// misses the image entirely (a 5×5 kernel on a 2×2 image). Every `o` in
+/// it satisfies `o + tap >= pad`, so the source index needs no signed math.
+fn span(tap: usize, pad: usize, len: usize) -> std::ops::Range<usize> {
+    pad.saturating_sub(tap).min(len)..(len + pad).saturating_sub(tap).min(len)
 }
 
 fn gaussian(rng: &mut SmallRng) -> f32 {
@@ -178,9 +178,14 @@ impl Layer for Conv2d {
         let hw = h * w;
         let ckk = self.in_channels * self.kernel * self.kernel;
         let mut grad_in = Tensor::zeros(&[n, c, h, w]);
+        // One column and one column-gradient buffer serve every sample: the
+        // columns are recomputed into the same slots (padding stays zero),
+        // and the gradient GEMM accumulates, so it is zeroed per sample.
+        let mut cols = vec![0.0f32; ckk * hw];
+        let mut dcols = vec![0.0f32; ckk * hw];
         for s in 0..n {
             let sample = &input.as_slice()[s * c * hw..(s + 1) * c * hw];
-            let cols = self.im2col(sample, h, w);
+            self.im2col_into(sample, h, w, &mut cols);
             let gout =
                 &grad_out.as_slice()[s * self.out_channels * hw..(s + 1) * self.out_channels * hw];
             // dW += gout (F×HW) · colsᵀ (HW×CKK)
@@ -198,7 +203,7 @@ impl Layer for Conv2d {
                 self.bias.grad.as_mut_slice()[f] += sum;
             }
             // dcols = Wᵀ (CKK×F) · gout (F×HW)
-            let mut dcols = vec![0.0f32; ckk * hw];
+            dcols.fill(0.0);
             matmul_at_b(
                 self.weight.value.as_slice(),
                 gout,
@@ -222,6 +227,142 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Per-element im2col, bounds-checking every position: the oracle the
+    /// span copy must equal.
+    fn im2col_oracle(conv: &Conv2d, sample: &[f32], h: usize, w: usize) -> Vec<f32> {
+        let k = conv.kernel;
+        let pad = k / 2;
+        let hw = h * w;
+        let mut cols = vec![0.0f32; conv.in_channels * k * k * hw];
+        for c in 0..conv.in_channels {
+            let plane = &sample[c * hw..(c + 1) * hw];
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    let out_row = &mut cols[row * hw..(row + 1) * hw];
+                    for y in 0..h {
+                        let sy = y as isize + ky as isize - pad as isize;
+                        if sy < 0 || sy >= h as isize {
+                            continue;
+                        }
+                        for x in 0..w {
+                            let sx = x as isize + kx as isize - pad as isize;
+                            if sx < 0 || sx >= w as isize {
+                                continue;
+                            }
+                            out_row[y * w + x] = plane[sy as usize * w + sx as usize];
+                        }
+                    }
+                }
+            }
+        }
+        cols
+    }
+
+    /// Per-element col2im in (c, ky, kx, y, x) order: the oracle the span
+    /// scatter-add must equal.
+    fn col2im_oracle(conv: &Conv2d, cols_grad: &[f32], h: usize, w: usize, out: &mut [f32]) {
+        let k = conv.kernel;
+        let pad = k / 2;
+        let hw = h * w;
+        for c in 0..conv.in_channels {
+            let plane = &mut out[c * hw..(c + 1) * hw];
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    let col_row = &cols_grad[row * hw..(row + 1) * hw];
+                    for y in 0..h {
+                        let sy = y as isize + ky as isize - pad as isize;
+                        if sy < 0 || sy >= h as isize {
+                            continue;
+                        }
+                        for x in 0..w {
+                            let sx = x as isize + kx as isize - pad as isize;
+                            if sx < 0 || sx >= w as isize {
+                                continue;
+                            }
+                            plane[sy as usize * w + sx as usize] += col_row[y * w + x];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn lcg(seed: u64, len: usize) -> Vec<f32> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
+            })
+            .collect()
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The span-copy im2col and span scatter-add col2im equal the
+        /// per-element oracles bitwise through a whole taped forward and
+        /// backward: kernels 1, 3 and 5 on images from 1×1 up, including
+        /// taps whose span is empty (a 5×5 kernel on a 2×2 image), over
+        /// several samples so the reused buffers are exercised.
+        #[test]
+        fn span_copies_match_per_element_oracle_bitwise(
+            kernel_idx in 0usize..3, c_in in 1usize..4, c_out in 1usize..4,
+            h in 1usize..8, w in 1usize..8, n in 1usize..4, seed in 0u64..1000,
+        ) {
+            let kernel = [1, 3, 5][kernel_idx];
+            let mut conv = Conv2d::new(c_in, c_out, kernel, seed);
+            conv.bias.value = Tensor::from_vec(&[c_out], lcg(seed ^ 0xb1a5, c_out));
+            let hw = h * w;
+            let ckk = c_in * kernel * kernel;
+            let input = Tensor::from_vec(&[n, c_in, h, w], lcg(seed, n * c_in * hw));
+            let grad_out = Tensor::from_vec(&[n, c_out, h, w], lcg(seed ^ 0x9d, n * c_out * hw));
+
+            let mut tape = Tape::new();
+            let out = conv.forward(&input, &mut InferenceCtx::new(), Some(&mut tape));
+            let grad_in = conv.backward(&grad_out, &mut tape);
+
+            let mut want_out = vec![0.0f32; n * c_out * hw];
+            let mut want_in = vec![0.0f32; n * c_in * hw];
+            for s in 0..n {
+                let sample = &input.as_slice()[s * c_in * hw..(s + 1) * c_in * hw];
+                let cols = im2col_oracle(&conv, sample, h, w);
+                let mut fast = vec![0.0f32; ckk * hw];
+                conv.im2col_into(sample, h, w, &mut fast);
+                prop_assert!(same_bits(&fast, &cols), "im2col differs");
+                let out_s = &mut want_out[s * c_out * hw..(s + 1) * c_out * hw];
+                matmul(conv.weight.value.as_slice(), &cols, out_s, c_out, ckk, hw);
+                for f in 0..c_out {
+                    let b = conv.bias.value.as_slice()[f];
+                    for v in &mut out_s[f * hw..(f + 1) * hw] {
+                        *v += b;
+                    }
+                }
+                let gout = &grad_out.as_slice()[s * c_out * hw..(s + 1) * c_out * hw];
+                let mut dcols = vec![0.0f32; ckk * hw];
+                matmul_at_b(conv.weight.value.as_slice(), gout, &mut dcols, ckk, c_out, hw);
+                col2im_oracle(
+                    &conv,
+                    &dcols,
+                    h,
+                    w,
+                    &mut want_in[s * c_in * hw..(s + 1) * c_in * hw],
+                );
+            }
+            prop_assert!(same_bits(out.as_slice(), &want_out), "forward differs");
+            prop_assert!(same_bits(grad_in.as_slice(), &want_in), "input gradient differs");
+        }
+    }
 
     /// Identity 1×1 kernel reproduces the input.
     #[test]

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// The GEMM dispatch into its AVX2 body is the one audited unsafe call
+// (`matmul::gemm_tiled`); nothing else in the crate may add one.
+#![deny(unsafe_code)]
 // Structured output goes through mmp_obs; stray prints are denied in CI
 // (the obs sinks and bin/ targets are the sanctioned exits).
 #![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]

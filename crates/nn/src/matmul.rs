@@ -21,6 +21,20 @@
 //! panels (`bp[kk·NR + l]`), so the microkernel streams both with unit
 //! stride and holds the full `MR×NR` accumulator tile in registers across
 //! the entire `k` loop.
+//!
+//! # Run-time dispatch
+//!
+//! The build targets baseline x86-64, where the `NR = 8` lanes of a tile
+//! row take two 4-lane SSE2 registers. On an x86-64 CPU with AVX2 (checked
+//! once per call with `is_x86_feature_detected!`) the same packed-GEMM
+//! body runs compiled for AVX2, one 8-lane register per tile row. Its
+//! source exists once: the packers and microkernels are
+//! `#[inline(always)]` into both the generic entry and the
+//! `#[target_feature(enable = "avx2")]` one. Only `avx2` is enabled, never
+//! `fma`: a fused multiply-add rounds once where `a·b + acc` rounds twice,
+//! which would break the contract above. AVX2's separate `vmulps` and
+//! `vaddps` round exactly as the SSE2 and scalar instructions do, so the
+//! choice of arm never moves a bit.
 
 use std::cell::RefCell;
 
@@ -150,6 +164,7 @@ thread_local! {
 /// Packs the `b` panel for column block `j0..j0+nr` into `bp` as
 /// `bp[kk·NR + l] = b[kk, j0+l]`; lanes `l >= nr` are left untouched (and
 /// never read).
+#[inline(always)]
 fn pack_rhs(
     b: &[f32],
     bp: &mut [f32],
@@ -179,6 +194,7 @@ fn pack_rhs(
 /// Packs the `a` panel for row block `i0..i0+mr` into `ap` as
 /// `ap[kk·MR + r] = a[i0+r, kk]`; rows `r >= mr` are left untouched (and
 /// never read).
+#[inline(always)]
 fn pack_lhs(
     a: &[f32],
     ap: &mut [f32],
@@ -209,7 +225,7 @@ fn pack_lhs(
 /// whole `k` loop, vector lanes across the `NR` output columns. Each
 /// accumulator is a plain ascending-`k` serial sum, so the result is
 /// bitwise identical to the scalar reference.
-#[inline]
+#[inline(always)]
 fn microkernel_full(
     ap: &[f32],
     bp: &[f32],
@@ -240,6 +256,7 @@ fn microkernel_full(
 
 /// Partial-tile microkernel for the `m % MR` / `n % NR` edges: same
 /// per-element ascending-`k` accumulation, only over the live lanes.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // a microkernel takes panels + tile coordinates, nothing to group
 fn microkernel_edge(
     ap: &[f32],
@@ -263,8 +280,9 @@ fn microkernel_edge(
     }
 }
 
-/// Shared tiled driver: packs `b` once into k-major `NR`-wide panels, then
-/// streams `MR`-row packed panels of `a` through the register microkernel.
+/// Shared tiled driver: sizes the thread's packing panels, then runs the
+/// packed-GEMM body, compiled for AVX2 when the CPU has it (see the
+/// module docs on run-time dispatch).
 #[allow(clippy::too_many_arguments)] // the three public GEMM signatures plus two layout selectors
 fn gemm_tiled(
     a: &[f32],
@@ -278,8 +296,7 @@ fn gemm_tiled(
 ) {
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
-        let n_blocks = n.div_ceil(NR);
-        let b_len = n_blocks * k * NR;
+        let b_len = n.div_ceil(NR) * k * NR;
         if s.b.len() < b_len {
             s.b.resize(b_len, 0.0);
         }
@@ -287,36 +304,83 @@ fn gemm_tiled(
             s.a.resize(k * MR, 0.0);
         }
         let PackScratch { a: ap, b: bp } = &mut *s;
-        for jb in 0..n_blocks {
+        // Dispatch here, not by a target feature on `gemm_tiled`: a closure
+        // is compiled without its enclosing fn's target features.
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // why: calling a `#[target_feature]` fn is `unsafe`; this is the
+            // crate's one unsafe block, guarded by the feature check above.
+            #[allow(unsafe_code)]
+            // SAFETY: the CPU supports AVX2, checked on the line above, and
+            // `gemm_packed_avx2` has no other precondition.
+            unsafe {
+                gemm_packed_avx2(a, b, c, m, k, n, lhs, rhs, ap, bp);
+            }
+            return;
+        }
+        gemm_packed(a, b, c, m, k, n, lhs, rhs, ap, bp);
+    });
+}
+
+/// [`gemm_packed`] compiled for AVX2 (and never FMA; see the module docs).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)] // gemm_packed's signature
+fn gemm_packed_avx2(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    lhs: LhsLayout,
+    rhs: RhsLayout,
+    ap: &mut [f32],
+    bp: &mut [f32],
+) {
+    gemm_packed(a, b, c, m, k, n, lhs, rhs, ap, bp);
+}
+
+/// The packed-GEMM body: packs `b` once into k-major `NR`-wide panels
+/// (`bp`, at least `⌈n/NR⌉·k·NR` long), then streams `MR`-row packed
+/// panels of `a` (`ap`, at least `k·MR` long) through the register
+/// microkernel. `m`, `k` and `n` are at least 1: the public entries send
+/// smaller problems to [`reference`]. Inlined into each dispatch arm, so
+/// its instructions are chosen by the arm's target features.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the GEMM signature, two layouts and two panels
+fn gemm_packed(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    lhs: LhsLayout,
+    rhs: RhsLayout,
+    ap: &mut [f32],
+    bp: &mut [f32],
+) {
+    let n_blocks = n.div_ceil(NR);
+    for (jb, panel) in bp.chunks_exact_mut(k * NR).take(n_blocks).enumerate() {
+        let j0 = jb * NR;
+        pack_rhs(b, panel, rhs, k, n, j0, NR.min(n - j0));
+    }
+    let mut i0 = 0;
+    while i0 < m {
+        let mr = MR.min(m - i0);
+        pack_lhs(a, ap, lhs, m, k, i0, mr);
+        for (jb, panel) in bp.chunks_exact(k * NR).take(n_blocks).enumerate() {
             let j0 = jb * NR;
             let nr = NR.min(n - j0);
-            pack_rhs(
-                b,
-                &mut bp[jb * k * NR..(jb + 1) * k * NR],
-                rhs,
-                k,
-                n,
-                j0,
-                nr,
-            );
-        }
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = MR.min(m - i0);
-            pack_lhs(a, ap, lhs, m, k, i0, mr);
-            for jb in 0..n_blocks {
-                let j0 = jb * NR;
-                let nr = NR.min(n - j0);
-                let panel = &bp[jb * k * NR..(jb + 1) * k * NR];
-                if mr == MR && nr == NR {
-                    microkernel_full(ap, panel, k, c, i0, j0, n);
-                } else {
-                    microkernel_edge(ap, panel, k, c, i0, j0, n, mr, nr);
-                }
+            if mr == MR && nr == NR {
+                microkernel_full(ap, panel, k, c, i0, j0, n);
+            } else {
+                microkernel_edge(ap, panel, k, c, i0, j0, n, mr, nr);
             }
-            i0 += mr;
         }
-    });
+        i0 += mr;
+    }
 }
 
 /// `c += a · b` where `a` is `m×k`, `b` is `k×n`, `c` is `m×n`, all
@@ -510,8 +574,78 @@ mod tests {
         }
     }
 
+    /// The generic packed body on freshly sized panels, bypassing the
+    /// run-time dispatch.
+    #[allow(clippy::too_many_arguments)] // the GEMM signature plus the two layouts
+    fn generic(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        lhs: LhsLayout,
+        rhs: RhsLayout,
+    ) {
+        let mut ap = vec![0.0f32; k * MR];
+        let mut bp = vec![0.0f32; n.div_ceil(NR) * k * NR];
+        gemm_packed(a, b, c, m, k, n, lhs, rhs, &mut ap, &mut bp);
+    }
+
+    /// `true` when [`gemm_tiled`] takes its AVX2 arm on this CPU.
+    fn has_avx2() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Both dispatch arms — the generic packed body and, where the CPU
+        /// has AVX2, the body compiled for AVX2 — equal the reference
+        /// kernels bitwise for all three layouts, on full and edge tiles
+        /// and below the small-problem cutoff, accumulating into a
+        /// non-zero `c`.
+        #[test]
+        fn generic_and_avx2_bodies_match_reference_bitwise(
+            m in 1usize..14, k in 1usize..40, n in 1usize..27,
+            seed in 0u64..1000,
+        ) {
+            let a = lcg_data(seed, m * k);
+            let b = lcg_data(seed ^ 0x51ed27, k * n);
+            let c0 = lcg_data(seed ^ 0x7f4a7c15, m * n);
+            let mut at = vec![0.0; k * m];
+            for i in 0..m { for kk in 0..k { at[kk * m + i] = a[i * k + kk]; } }
+            let mut bt = vec![0.0; n * k];
+            for kk in 0..k { for j in 0..n { bt[j * k + kk] = b[kk * n + j]; } }
+            let mut want = c0.clone();
+            reference::matmul(&a, &b, &mut want, m, k, n);
+            let cases: [(&[f32], &[f32], LhsLayout, RhsLayout); 3] = [
+                (&a, &b, LhsLayout::RowMajor, RhsLayout::RowMajor),
+                (&at, &b, LhsLayout::Transposed, RhsLayout::RowMajor),
+                (&a, &bt, LhsLayout::RowMajor, RhsLayout::Transposed),
+            ];
+            for (lhs_data, rhs_data, lhs, rhs) in cases {
+                let mut c = c0.clone();
+                generic(lhs_data, rhs_data, &mut c, m, k, n, lhs, rhs);
+                for (x, y) in c.iter().zip(&want) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "generic body");
+                }
+                if has_avx2() {
+                    let mut c = c0.clone();
+                    gemm_tiled(lhs_data, rhs_data, &mut c, m, k, n, lhs, rhs);
+                    for (x, y) in c.iter().zip(&want) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits(), "AVX2 body");
+                    }
+                }
+            }
+        }
 
         /// The tiled kernels are bitwise-identical to the scalar reference
         /// under the documented summation order, for all three operand

@@ -28,7 +28,9 @@ use crate::backoff::BackoffConfig;
 use crate::clock;
 use crate::error::ServeError;
 use crate::journal::Journal;
-use crate::protocol::{render, DesignSpec, JobDefaults, JobRequest, JobSummary, Op};
+use crate::protocol::{
+    render, DesignSpec, JobDefaults, JobRequest, JobSummary, Op, MAX_REQUEST_BYTES,
+};
 use crate::queue::JobQueue;
 use mmp_core::{fingerprint, CheckpointPlan, CrashPoint, MacroPlacer, RunReport};
 use mmp_netlist::{Design, MacroId, Placement};
@@ -36,7 +38,7 @@ use mmp_obs::{MetricsSnapshot, Obs};
 use mmp_vfs::{FailPlan, Vfs};
 use serde::{Serialize, Value};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -779,7 +781,7 @@ impl Server {
         // the client's delayed ACK, about 40 ms on Linux. Without the option
         // replies are only slower, so failing to set it is not fatal.
         let _ = stream.set_nodelay(true);
-        let reader = match stream.try_clone() {
+        let mut reader = match stream.try_clone() {
             Ok(r) => BufReader::new(r),
             Err(_) => {
                 self.inner.obs.count("serve.disconnects", 1);
@@ -787,21 +789,51 @@ impl Server {
             }
         };
         let mut writer = stream;
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
+        // One buffer serves every line, and each read stops one byte past
+        // the cap: an oversize line costs at most that much memory, however
+        // long the client keeps sending.
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let read = (&mut reader)
+                .take(MAX_REQUEST_BYTES as u64 + 1)
+                .read_until(b'\n', &mut buf);
+            match read {
+                Ok(0) => return,
+                Ok(_) => {}
                 Err(_) => {
                     // Client vanished mid-line; any job it submitted
                     // keeps running and its report stays journaled.
                     self.inner.obs.count("serve.disconnects", 1);
                     return;
                 }
+            }
+            if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+                // The rest of the line is never read: reply, then close.
+                self.inner.obs.count("serve.rejected", 1);
+                let e = ServeError::BadRequest {
+                    detail: format!(
+                        "request line exceeds the {MAX_REQUEST_BYTES} byte cap; closing the connection"
+                    ),
+                };
+                let mut response = err_line(None, &e);
+                response.push('\n');
+                let _ = writer.write_all(response.as_bytes());
+                return;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                self.inner.obs.count("serve.disconnects", 1);
+                return;
             };
+            // Strip the terminator as `BufRead::lines` does: `\n` or `\r\n`.
+            let line = line
+                .strip_suffix('\n')
+                .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
             if line.trim().is_empty() {
                 continue;
             }
             self.lock_jobs().active_requests += 1;
-            let mut response = self.handle_request(&line);
+            let mut response = self.handle_request(line);
             response.push('\n');
             let wrote = writer
                 .write_all(response.as_bytes())
@@ -1040,6 +1072,71 @@ mod tests {
         server.handle_request(&submit_line("next", ""));
         let done = poll_done(&server, "next");
         assert_eq!(map_get(&done, "state"), Some(&Value::Str("done".into())));
+        server.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversize_line_is_refused_at_the_cap_and_the_daemon_keeps_serving() {
+        let dir = tmp("oversize-line");
+        let server = Server::start(config(&dir, 1)).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accept = {
+            let server = server.clone();
+            std::thread::spawn(move || server.serve(listener))
+        };
+        // Every read below is bounded: a daemon that never answers must
+        // fail the test, not hang it.
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+                .unwrap();
+            stream
+        };
+        let read_reply = |stream: TcpStream| {
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            serde_json::parse_value(&line).unwrap()
+        };
+
+        // 2 MiB and no newline. The daemon stops reading one byte past the
+        // 1 MiB cap and closes after its reply, so the send may fail.
+        let mut stream = connect();
+        let _ = stream.write_all(&vec![b'x'; 2 * MAX_REQUEST_BYTES]);
+        let v = read_reply(stream);
+        let err = map_get(&v, "error").unwrap();
+        assert_eq!(
+            map_get(err, "kind"),
+            Some(&Value::Str("bad-request".into())),
+            "{v:?}"
+        );
+        let Some(Value::Str(message)) = map_get(err, "message") else {
+            panic!("no message in {v:?}");
+        };
+        assert!(
+            message.contains(&MAX_REQUEST_BYTES.to_string()),
+            "{message}"
+        );
+
+        // A new connection places a design to completion.
+        let mut stream = connect();
+        stream
+            .write_all(
+                b"{\"op\":\"place\",\"id\":\"after\",\"design\":{\"spec\":[5,0,8,40,70],\"seed\":1},\"update_every\":2}\n",
+            )
+            .unwrap();
+        let v = read_reply(stream);
+        assert_eq!(
+            map_get(&v, "state"),
+            Some(&Value::Str("done".into())),
+            "{v:?}"
+        );
+        assert_eq!(server.metrics().counters.get("serve.rejected"), Some(&1));
+
+        server.initiate_shutdown();
+        accept.join().unwrap().unwrap();
         server.drain();
         let _ = std::fs::remove_dir_all(&dir);
     }
