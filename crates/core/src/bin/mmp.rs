@@ -110,6 +110,38 @@ fn run() -> Result<(), CliError> {
         return Err(CliError::Usage("missing subcommand".into()));
     };
     let (flags, _) = parse_flags(&args[1..]);
+    // Each subcommand's flags: a mistyped one must not silently fall back
+    // to a default and change the experiment.
+    let known: &[&str] = match cmd.as_str() {
+        "generate" => &["circuit", "spec", "scale", "seed", "hierarchy", "out"],
+        "stats" => &["in"],
+        "place" => &[
+            "in",
+            "zeta",
+            "episodes",
+            "explorations",
+            "seed",
+            "ensemble",
+            "workers",
+            "budget-ms",
+            "refine",
+            "refine-moves",
+            "refine-seed",
+            "refine-budget-ms",
+            "checkpoint-dir",
+            "resume",
+            "fault-io",
+            "trace",
+            "report-json",
+            "out",
+            "svg",
+        ],
+        "svg" => &["in", "out", "labels"],
+        _ => return Err(CliError::Usage(format!("unknown subcommand {cmd}"))),
+    };
+    if let Some(k) = flags.keys().find(|k| !known.contains(&k.as_str())) {
+        return Err(CliError::Usage(format!("unknown flag --{k} for {cmd}")));
+    }
     let get = |k: &str| flags.get(k).cloned();
     let get_usize = |k: &str, d: usize| -> Result<usize, CliError> {
         match flags.get(k) {

@@ -16,7 +16,8 @@ use mmp_analytic::{GlobalPlacer, GlobalPlacerConfig};
 use mmp_geom::GridIndex;
 use mmp_legal::{MacroLegalizer, SwapRefineConfig, SwapRefiner};
 use mmp_mcts::{
-    place_ensemble_with_deadline, EnsembleConfig, MctsConfig, MctsOutcome, MctsPlacer, SearchStats,
+    place_ensemble_with_deadline, EnsembleConfig, MctsConfig, MctsOutcome, MctsPlacer,
+    SearchCheckpoint, SearchCheckpointSink, SearchStats,
 };
 use mmp_netlist::{Design, Placement};
 use mmp_obs::{field, Obs};
@@ -39,12 +40,12 @@ pub struct PlacerConfig {
     /// more runs diversify priors per worker and keep the best result).
     pub ensemble_runs: usize,
     /// Worker count of the deterministic compute pool shared by the
-    /// scoring of training rollouts, batched inference, the ensemble
-    /// fan-out, the CG solver and the density spreader. Always explicit —
-    /// never derived from the machine — and bitwise-neutral: any value
-    /// produces the same placement. `1` (the default) runs everything
-    /// inline, and so does any pooled call whose work falls below that
-    /// kernel's measured spawn break-even.
+    /// scoring of training rollouts, the ensemble fan-out, the CG solver
+    /// and the density spreader. Always explicit — never derived from the
+    /// machine — and bitwise-neutral: any value produces the same
+    /// placement. `1` (the default) runs everything inline, and so does
+    /// any pooled call whose work falls below that kernel's measured spawn
+    /// break-even.
     #[serde(default = "default_workers")]
     pub workers: usize,
     /// Final cell-placement effort.
@@ -519,49 +520,34 @@ impl MacroPlacer {
                 }
                 ens.best
             } else {
-                let placer = MctsPlacer::new(self.config.mcts.clone()).with_obs(self.obs.clone());
-                match &ckpt {
-                    Some(ck) => {
-                        let partial: Option<mmp_mcts::SearchCheckpoint> = if ck.resume() {
-                            ck.load(SEARCH_PARTIAL)?
-                        } else {
-                            None
-                        };
-                        if let Some(p) = &partial {
-                            summary.resumes.push("search".to_owned());
-                            degradation.record(
-                                Stage::Checkpoint,
-                                format!(
-                                    "resumed MCTS search from search.ckpt at group {}",
-                                    p.groups_done
-                                ),
-                            );
-                        }
-                        let mut sink = |c: &mmp_mcts::SearchCheckpoint| {
-                            ck.save(CrashStage::Search, SEARCH_PARTIAL, c)
-                        };
-                        let mut ctx = InferenceCtx::new().with_exec(pool);
-                        placer.place_resumable(
-                            &trainer,
-                            &outcome.agent,
-                            &outcome.scale,
-                            &mut ctx,
-                            search_deadline,
-                            partial,
-                            Some(&mut sink),
-                        )?
-                    }
-                    None => {
-                        let mut ctx = InferenceCtx::new().with_exec(pool);
-                        placer.place_with_ctx_deadline(
-                            &trainer,
-                            &outcome.agent,
-                            &outcome.scale,
-                            &mut ctx,
-                            search_deadline,
-                        )
-                    }
+                let partial: Option<SearchCheckpoint> = match &ckpt {
+                    Some(ck) if ck.resume() => ck.load(SEARCH_PARTIAL)?,
+                    _ => None,
+                };
+                if let Some(p) = &partial {
+                    summary.resumes.push("search".to_owned());
+                    degradation.record(
+                        Stage::Checkpoint,
+                        format!(
+                            "resumed MCTS search from search.ckpt at group {}",
+                            p.groups_done
+                        ),
+                    );
                 }
+                let mut save = ckpt.as_ref().map(|ck| {
+                    move |c: &SearchCheckpoint| ck.save(CrashStage::Search, SEARCH_PARTIAL, c)
+                });
+                MctsPlacer::new(self.config.mcts.clone())
+                    .with_obs(self.obs.clone())
+                    .place_resumable(
+                        &trainer,
+                        &outcome.agent,
+                        &outcome.scale,
+                        &mut InferenceCtx::new(),
+                        search_deadline,
+                        partial,
+                        save.as_mut().map(|f| f as SearchCheckpointSink<'_>),
+                    )?
             };
             if let Some(ck) = &ckpt {
                 ck.save(

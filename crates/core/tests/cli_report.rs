@@ -122,6 +122,25 @@ fn report_without_trace_still_collects_metrics() {
 }
 
 #[test]
+fn unknown_flag_is_a_usage_error() {
+    let design = tmp("unknown_flag.bks");
+    generate(&design);
+
+    // A typo must not silently run the default budget.
+    let out = mmp()
+        .args(["place", "--in"])
+        .arg(&design)
+        .args(["--explorationz", "3"])
+        .output()
+        .expect("spawn mmp place");
+    assert_eq!(out.status.code(), Some(2), "expected usage exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--explorationz"), "{stderr}");
+
+    std::fs::remove_file(&design).ok();
+}
+
+#[test]
 fn bare_trace_flag_is_a_usage_error() {
     let design = tmp("bad_trace.bks");
     generate(&design);

@@ -1,29 +1,19 @@
 //! The exploration loop: selection → expansion → evaluation →
 //! backpropagation (Sec. IV-B, Fig. 3).
 //!
-//! Explorations run in *speculative waves*: up to [`MctsConfig::wave`]
-//! distinct non-terminal leaves are pre-selected per wave and evaluated
-//! with one batched network call ([`Agent::policy_value_batch`]).
-//! Speculation stays virtual-loss-free — pending paths receive in-flight
-//! *virtual visits* that enter only the PUCT exploration term (the
-//! visit-count denominator and ΣN), never Q, so no fake losses are mixed
-//! into value estimates. The wave then *replays* plain sequential
-//! selection, applying a pre-computed evaluation only when the replayed
-//! selection lands on that exact leaf and discarding the rest on the first
-//! misprediction. Search results are therefore bitwise identical for every
-//! wave size — batching trades speculative (possibly wasted) network work
-//! for fewer, larger calls.
+//! Each exploration scores one leaf: a terminal leaf by the real
+//! legalize-and-place pipeline, any other by one π_θ/V_θ evaluation that
+//! also expands it.
 
 use crate::tree::SearchTree;
 use mmp_ckpt::CkptError;
 use mmp_geom::GridIndex;
 use mmp_obs::{field, Obs};
-use mmp_rl::{Agent, InferenceCtx, PlacementEnv, RewardScale, State, Trainer};
+use mmp_rl::{Agent, InferenceCtx, PlacementEnv, RewardScale, Trainer};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// MCTS parameters.
@@ -40,11 +30,6 @@ pub struct MctsConfig {
     pub prior_noise: f32,
     /// Seed for the prior noise (ignored when `prior_noise == 0`).
     pub noise_seed: u64,
-    /// Leaf-evaluation wave size: how many pending leaves are batched into
-    /// one network call. 0 and 1 both mean sequential search (and absent
-    /// fields in serialized configs deserialize to the sequential default).
-    #[serde(default)]
-    pub wave: usize,
     /// Fault injection (test support): replace every network prior vector
     /// with NaN before expansion so the numerical-health guard can be
     /// exercised deterministically. `false` in production.
@@ -59,7 +44,6 @@ impl Default for MctsConfig {
             explorations: 64,
             prior_noise: 0.0,
             noise_seed: 0,
-            wave: 1,
             fault_nan_priors: false,
         }
     }
@@ -73,15 +57,6 @@ pub struct SearchStats {
     pub explorations: usize,
     /// Leaves evaluated by V_θ and expanded (cheap).
     pub value_evaluations: usize,
-    /// Batched network calls issued for leaf evaluation (≤
-    /// `value_evaluations + wasted_evaluations`; equal to
-    /// `value_evaluations` when `wave == 1`).
-    #[serde(default)]
-    pub batched_calls: usize,
-    /// Speculatively evaluated leaves discarded because sequential replay
-    /// selected a different leaf (0 when `wave == 1`).
-    #[serde(default)]
-    pub wasted_evaluations: usize,
     /// Leaves evaluated by the real legalize-and-place pipeline
     /// (expensive).
     pub terminal_evaluations: usize,
@@ -155,12 +130,6 @@ pub(crate) fn commit_key_cmp(a: (u32, f64, f32), b: (u32, f64, f32)) -> std::cmp
         .then_with(|| a.2.total_cmp(&b.2))
 }
 
-/// One speculatively selected leaf awaiting batched evaluation.
-struct PendingLeaf {
-    node: usize,
-    state: State,
-}
-
 /// The MCTS placement-optimization stage (Algorithm 1, lines 11–16).
 #[derive(Debug)]
 pub struct MctsPlacer {
@@ -210,24 +179,11 @@ impl MctsPlacer {
         &self.config
     }
 
-    /// Runs the full search with an internal scratch context; see
-    /// [`MctsPlacer::place_with_ctx`].
+    /// Runs the full search with an internal scratch context and no
+    /// deadline; see [`MctsPlacer::place_with_ctx_deadline`].
     pub fn place(&self, trainer: &Trainer<'_>, agent: &Agent, scale: &RewardScale) -> MctsOutcome {
         let mut ctx = InferenceCtx::new();
-        self.place_with_ctx(trainer, agent, scale, &mut ctx)
-    }
-
-    /// Runs the full search with an internal scratch context and a
-    /// wall-clock deadline; see [`MctsPlacer::place_with_ctx_deadline`].
-    pub fn place_with_deadline(
-        &self,
-        trainer: &Trainer<'_>,
-        agent: &Agent,
-        scale: &RewardScale,
-        deadline: Option<Instant>,
-    ) -> MctsOutcome {
-        let mut ctx = InferenceCtx::new();
-        self.place_with_ctx_deadline(trainer, agent, scale, &mut ctx, deadline)
+        self.place_with_ctx_deadline(trainer, agent, scale, &mut ctx, None)
     }
 
     /// Runs the full search: γ explorations per macro group, committing the
@@ -236,20 +192,8 @@ impl MctsPlacer {
     /// The agent is only read (`&Agent`); all network scratch lives in
     /// `ctx`, so concurrent searches can share one agent with per-thread
     /// contexts.
-    pub fn place_with_ctx(
-        &self,
-        trainer: &Trainer<'_>,
-        agent: &Agent,
-        scale: &RewardScale,
-        ctx: &mut InferenceCtx,
-    ) -> MctsOutcome {
-        self.place_with_ctx_deadline(trainer, agent, scale, ctx, None)
-    }
-
-    /// [`MctsPlacer::place_with_ctx`] with graceful degradation under a
-    /// wall-clock deadline.
     ///
-    /// The deadline is checked between exploration waves. Once it expires,
+    /// The deadline is checked before each exploration. Once it expires,
     /// the group being searched is committed from the best-so-far tree
     /// statistics, and any group whose search never ran is allocated with
     /// the greedy policy π_θ instead ([`SearchStats::policy_greedy_groups`]
@@ -356,16 +300,8 @@ impl MctsPlacer {
                     stats.deadline_expired = true;
                     break;
                 }
-                done += self.explore_wave(
-                    &mut tree,
-                    &env,
-                    trainer,
-                    agent,
-                    scale,
-                    &mut stats,
-                    ctx,
-                    goal - done,
-                );
+                self.explore(&mut tree, &env, trainer, agent, scale, &mut stats, ctx);
+                done += 1;
             }
             // Commit the most-visited edge (ties: higher Q, then prior).
             let root = tree.root();
@@ -461,15 +397,11 @@ impl MctsPlacer {
         })
     }
 
-    /// Selects a leaf by PUCT from the current root. `inflight` (per-edge
-    /// and per-node virtual visit counts) biases only the exploration term;
-    /// pass empty maps for plain sequential selection.
+    /// Selects a leaf by PUCT from the current root.
     fn select_leaf<'a>(
         &self,
         tree: &mut SearchTree,
         root_env: &PlacementEnv<'a>,
-        inflight_edge: &BTreeMap<(usize, usize), u32>,
-        inflight_node: &BTreeMap<usize, u32>,
     ) -> (Vec<(usize, usize)>, usize, PlacementEnv<'a>) {
         let mut sim = root_env.clone();
         let mut node = tree.root();
@@ -479,22 +411,18 @@ impl MctsPlacer {
         // real score instead of panicking the comparison.
         let sane = |u: f64| if u.is_nan() { f64::NEG_INFINITY } else { u };
         while !sim.is_terminal() {
-            let sum_n =
-                tree.visit_sum(node) as f64 + inflight_node.get(&node).copied().unwrap_or(0) as f64;
             // √ΣN of Eq. 11, floored at 1 so priors break the all-zero tie
             // on a freshly expanded node.
-            let sqrt_sum = sum_n.sqrt().max(1.0);
+            let sqrt_sum = (tree.visit_sum(node) as f64).sqrt().max(1.0);
             let (edge_idx, action) = {
                 let Some(edges) = tree.node(node).edges.as_ref() else {
                     break;
                 };
-                let Some(best) = edges.iter().enumerate().max_by(|(ia, a), (ib, b)| {
-                    let fa = inflight_edge.get(&(node, *ia)).copied().unwrap_or(0);
-                    let fb = inflight_edge.get(&(node, *ib)).copied().unwrap_or(0);
-                    let ua = a.q()
-                        + self.config.c_puct * a.p as f64 * sqrt_sum / (1.0 + (a.n + fa) as f64);
-                    let ub = b.q()
-                        + self.config.c_puct * b.p as f64 * sqrt_sum / (1.0 + (b.n + fb) as f64);
+                let Some(best) = edges.iter().enumerate().max_by(|(_, a), (_, b)| {
+                    let ua =
+                        a.q() + self.config.c_puct * a.p as f64 * sqrt_sum / (1.0 + a.n as f64);
+                    let ub =
+                        b.q() + self.config.c_puct * b.p as f64 * sqrt_sum / (1.0 + b.n as f64);
                     sane(ua).total_cmp(&sane(ub))
                 }) else {
                     break;
@@ -552,19 +480,12 @@ impl MctsPlacer {
         tree.backpropagate(path, value);
     }
 
-    /// Runs one exploration wave from the current root.
-    ///
-    /// Phase 1 (speculation, `wave > 1` only): select up to `wave` distinct
-    /// non-terminal leaves under virtual in-flight visits and evaluate them
-    /// with one batched network call. Phase 2 (replay): run plain
-    /// sequential explorations; a leaf whose evaluation was pre-computed is
-    /// expanded from the batch, terminal leaves run the real pipeline as
-    /// usual, and the first sequential selection that was *not* speculated
-    /// ends the wave, discarding unused batch entries. Every committed
-    /// update is exactly what `wave == 1` would have done, so results are
-    /// wave-size-invariant. Returns the explorations consumed (≥ 1).
+    /// Runs one exploration from the current root: selects a leaf by
+    /// PUCT, scores it and backpropagates the value. A terminal leaf runs
+    /// the real pipeline once and caches the reward on the node; any other
+    /// leaf takes one π_θ/V_θ evaluation, which also expands it.
     #[allow(clippy::too_many_arguments)]
-    fn explore_wave(
+    fn explore(
         &self,
         tree: &mut SearchTree,
         root_env: &PlacementEnv<'_>,
@@ -573,97 +494,25 @@ impl MctsPlacer {
         scale: &RewardScale,
         stats: &mut SearchStats,
         ctx: &mut InferenceCtx,
-        budget: usize,
-    ) -> usize {
-        let wave = self.config.wave.max(1).min(budget.max(1));
-        let no_inflight: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-        let no_inflight_node: BTreeMap<usize, u32> = BTreeMap::new();
-
-        // --- Phase 1: speculate and batch-evaluate -----------------------
-        let mut results: BTreeMap<usize, mmp_rl::NetOutput> = BTreeMap::new();
-        if wave > 1 {
-            let mut inflight_edge: BTreeMap<(usize, usize), u32> = BTreeMap::new();
-            let mut inflight_node: BTreeMap<usize, u32> = BTreeMap::new();
-            let mut pending: Vec<PendingLeaf> = Vec::new();
-            while pending.len() < wave {
-                let (path, node, sim) =
-                    self.select_leaf(tree, root_env, &inflight_edge, &inflight_node);
-                // Terminal leaves need no network; replay handles them.
-                // A revisited pending leaf means the tree has no more
-                // distinct work this wave.
-                if sim.is_terminal() || pending.iter().any(|p| p.node == node) {
-                    break;
+    ) {
+        let (path, node, sim) = self.select_leaf(tree, root_env);
+        if sim.is_terminal() {
+            let value = match tree.node(node).terminal_reward {
+                Some(r) => r,
+                None => {
+                    stats.terminal_evaluations += 1;
+                    let r = scale.reward(trainer.wirelength_of(&sim));
+                    tree.node_mut(node).terminal_reward = Some(r);
+                    r
                 }
-                for &(n, e) in &path {
-                    *inflight_edge.entry((n, e)).or_insert(0) += 1;
-                    *inflight_node.entry(n).or_insert(0) += 1;
-                }
-                pending.push(PendingLeaf {
-                    node,
-                    state: sim.state(),
-                });
-            }
-            if !pending.is_empty() {
-                let states: Vec<State> = pending.iter().map(|p| p.state.clone()).collect();
-                let outs = agent.policy_value_batch(&states, ctx);
-                stats.batched_calls += 1;
-                for (leaf, out) in pending.into_iter().zip(outs) {
-                    results.insert(leaf.node, out);
-                }
-            }
-        }
-
-        // --- Phase 2: sequential replay ----------------------------------
-        let mut consumed = 0usize;
-        while consumed < budget {
-            let (path, node, sim) =
-                self.select_leaf(tree, root_env, &no_inflight, &no_inflight_node);
-            if sim.is_terminal() {
-                // Terminal: run the real pipeline once, cache the reward.
-                let value = match tree.node(node).terminal_reward {
-                    Some(r) => r,
-                    None => {
-                        stats.terminal_evaluations += 1;
-                        let r = scale.reward(trainer.wirelength_of(&sim));
-                        tree.node_mut(node).terminal_reward = Some(r);
-                        r
-                    }
-                };
-                tree.backpropagate(&path, value);
-                stats.explorations += 1;
-                consumed += 1;
-                continue;
-            }
-            if let Some(out) = results.remove(&node) {
-                // Speculation hit: the batch already evaluated this leaf.
-                self.apply_evaluation(tree, &path, node, &out, stats);
-                stats.value_evaluations += 1;
-                stats.explorations += 1;
-                consumed += 1;
-                if results.is_empty() {
-                    break; // batch exhausted — next wave re-speculates
-                }
-                continue;
-            }
-            if consumed > 0 {
-                // Misprediction: sequential search went somewhere the
-                // speculation did not — discard the leftovers.
-                break;
-            }
-            // Nothing speculated (wave == 1, or speculation stopped at a
-            // terminal): evaluate the single leaf directly.
-            let Some(out) = agent.policy_value_batch(&[sim.state()], ctx).pop() else {
-                break; // unreachable: one state yields one output
             };
-            stats.batched_calls += 1;
+            tree.backpropagate(&path, value);
+        } else {
+            let out = agent.policy_value(&sim.state(), ctx);
             self.apply_evaluation(tree, &path, node, &out, stats);
             stats.value_evaluations += 1;
-            stats.explorations += 1;
-            consumed += 1;
-            break;
         }
-        stats.wasted_evaluations += results.len();
-        consumed.max(1)
+        stats.explorations += 1;
     }
 }
 
@@ -715,61 +564,6 @@ mod tests {
         let b = placer.place(&trainer, &out.agent, &out.scale);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.wirelength, b.wirelength);
-    }
-
-    #[test]
-    fn wave_batching_reproduces_sequential_search() {
-        // Virtual visits only redirect *within* a wave; the committed
-        // assignment must match the sequential (wave = 1) search.
-        let (d, cfg) = trained(7, 3);
-        let trainer = Trainer::new(&d, cfg);
-        let out = trainer.train();
-        let sequential = MctsPlacer::new(MctsConfig {
-            explorations: 12,
-            wave: 1,
-            ..MctsConfig::default()
-        })
-        .place(&trainer, &out.agent, &out.scale);
-        let waved = MctsPlacer::new(MctsConfig {
-            explorations: 12,
-            wave: 8,
-            ..MctsConfig::default()
-        })
-        .place(&trainer, &out.agent, &out.scale);
-        assert_eq!(sequential.assignment, waved.assignment);
-        assert_eq!(sequential.wirelength, waved.wirelength);
-        // The waved run must actually have batched: fewer network calls
-        // than leaf evaluations.
-        assert!(
-            waved.stats.batched_calls < waved.stats.value_evaluations,
-            "wave=8 did not batch: {:?}",
-            waved.stats
-        );
-        assert_eq!(
-            sequential.stats.batched_calls,
-            sequential.stats.value_evaluations
-        );
-    }
-
-    #[test]
-    fn wave_zero_behaves_as_sequential() {
-        // 0 (e.g. from a serialized config without the field) means 1.
-        let (d, cfg) = trained(8, 2);
-        let trainer = Trainer::new(&d, cfg);
-        let out = trainer.train();
-        let a = MctsPlacer::new(MctsConfig {
-            explorations: 6,
-            wave: 0,
-            ..MctsConfig::default()
-        })
-        .place(&trainer, &out.agent, &out.scale);
-        let b = MctsPlacer::new(MctsConfig {
-            explorations: 6,
-            wave: 1,
-            ..MctsConfig::default()
-        })
-        .place(&trainer, &out.agent, &out.scale);
-        assert_eq!(a.assignment, b.assignment);
     }
 
     #[test]
@@ -846,9 +640,11 @@ mod tests {
             explorations: 64,
             ..MctsConfig::default()
         });
+        let mut ctx = InferenceCtx::new();
+        // mmp-lint: allow(wallclock) why: test constructs an already-expired deadline on purpose
+        let past = Some(Instant::now());
         let result =
-            // mmp-lint: allow(wallclock) why: test constructs an already-expired deadline on purpose
-            placer.place_with_deadline(&trainer, &out.agent, &out.scale, Some(Instant::now()));
+            placer.place_with_ctx_deadline(&trainer, &out.agent, &out.scale, &mut ctx, past);
         let groups = trainer.coarse().macro_groups().len();
         assert!(result.stats.deadline_expired);
         assert_eq!(result.stats.policy_greedy_groups, groups);
@@ -866,9 +662,10 @@ mod tests {
         let out = trainer.train();
         let placer = MctsPlacer::new(MctsConfig::default());
         // mmp-lint: allow(wallclock) why: test constructs an already-expired deadline on purpose
-        let past = Instant::now();
-        let a = placer.place_with_deadline(&trainer, &out.agent, &out.scale, Some(past));
-        let b = placer.place_with_deadline(&trainer, &out.agent, &out.scale, Some(past));
+        let past = Some(Instant::now());
+        let mut ctx = InferenceCtx::new();
+        let a = placer.place_with_ctx_deadline(&trainer, &out.agent, &out.scale, &mut ctx, past);
+        let b = placer.place_with_ctx_deadline(&trainer, &out.agent, &out.scale, &mut ctx, past);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.wirelength, b.wirelength);
     }
@@ -902,7 +699,8 @@ mod tests {
             ..MctsConfig::default()
         });
         let plain = placer.place(&trainer, &out.agent, &out.scale);
-        let dl = placer.place_with_deadline(&trainer, &out.agent, &out.scale, None);
+        let mut ctx = InferenceCtx::new();
+        let dl = placer.place_with_ctx_deadline(&trainer, &out.agent, &out.scale, &mut ctx, None);
         assert_eq!(plain.assignment, dl.assignment);
         assert!(!dl.stats.deadline_expired);
         assert_eq!(dl.stats.policy_greedy_groups, 0);
@@ -1180,10 +978,31 @@ mod tests {
     }
 
     #[test]
+    fn stats_with_the_retired_batch_counters_still_parse() {
+        // Reports, journals and checkpoints written while explorations
+        // could batch leaves carry two more counters; unknown keys are
+        // ignored.
+        let stats: SearchStats = serde_json::from_str(
+            r#"{"explorations":7,"value_evaluations":5,"batched_calls":5,
+                "wasted_evaluations":0,"terminal_evaluations":2,"nodes":6}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            stats,
+            SearchStats {
+                explorations: 7,
+                value_evaluations: 5,
+                terminal_evaluations: 2,
+                nodes: 6,
+                ..SearchStats::default()
+            }
+        );
+    }
+
+    #[test]
     fn default_config_matches_paper_constant() {
         let cfg = MctsConfig::default();
         assert_eq!(cfg.c_puct, 1.05);
-        assert_eq!(cfg.wave, 1);
     }
 
     #[test]

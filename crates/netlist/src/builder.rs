@@ -12,6 +12,8 @@ use std::fmt;
 pub enum BuildDesignError {
     /// The placement region has zero area.
     EmptyRegion,
+    /// A corner of the placement region is infinite or NaN.
+    NonFiniteRegion,
     /// A net references a node id that was never added.
     DanglingPin {
         /// Name of the offending net.
@@ -50,6 +52,9 @@ impl fmt::Display for BuildDesignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BuildDesignError::EmptyRegion => write!(f, "placement region has zero area"),
+            BuildDesignError::NonFiniteRegion => {
+                write!(f, "placement region has a non-finite corner")
+            }
             BuildDesignError::DanglingPin { net, node } => {
                 write!(f, "net {net} references unknown node {node}")
             }
@@ -241,9 +246,13 @@ impl DesignBuilder {
     ///
     /// # Errors
     ///
-    /// See [`BuildDesignError`]: empty region, duplicate names, non-positive
-    /// outlines, preplaced macros escaping the region.
+    /// See [`BuildDesignError`]: empty or non-finite region, duplicate
+    /// names, non-positive outlines, preplaced macros escaping the region.
     pub fn build(self) -> Result<Design, BuildDesignError> {
+        let r = &self.region;
+        if ![r.x, r.y, r.right(), r.top()].iter().all(|v| v.is_finite()) {
+            return Err(BuildDesignError::NonFiniteRegion);
+        }
         if self.region.is_empty() {
             return Err(BuildDesignError::EmptyRegion);
         }
@@ -330,6 +339,21 @@ mod tests {
     fn empty_region_is_rejected() {
         let b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 0.0, 10.0));
         assert_eq!(b.build(), Err(BuildDesignError::EmptyRegion));
+    }
+
+    #[test]
+    fn non_finite_region_is_rejected() {
+        // An infinite region would reach `f64::clamp` with NaN bounds deep
+        // inside the legalizer.
+        for r in [
+            Rect::new(0.0, 0.0, f64::INFINITY, f64::INFINITY),
+            Rect::new(f64::NEG_INFINITY, 0.0, 10.0, 10.0),
+            Rect::new(0.0, f64::NAN, 10.0, 10.0),
+            Rect::new(f64::MAX, 0.0, f64::MAX, 10.0),
+        ] {
+            let b = DesignBuilder::new("d", r);
+            assert_eq!(b.build(), Err(BuildDesignError::NonFiniteRegion), "{r:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! # Cost discipline
 //!
 //! The handle is threaded through hot loops (QP spread iterations, MCTS
-//! exploration waves, legalizer rounds), so the *disabled* path must cost
+//! explorations, legalizer rounds), so the *disabled* path must cost
 //! next to nothing: [`Obs::off`] is an `Option::None` and every call site
 //! reduces to one branch — no formatting, no allocation, no clock read,
 //! and **no environment-variable lookups** (the `MMP_TRACE` env-var probe

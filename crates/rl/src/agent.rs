@@ -1,7 +1,7 @@
 //! The trained agent: a thin, checkpointable wrapper around the network.
 
 use crate::env::State;
-use crate::net::{AgentConfig, NetOutput, PolicyValueNet, StateRef};
+use crate::net::{AgentConfig, NetOutput, PolicyValueNet};
 use mmp_nn::InferenceCtx;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -46,22 +46,6 @@ impl Agent {
     pub fn policy_value(&self, state: &State, ctx: &mut InferenceCtx) -> NetOutput {
         self.net
             .forward(&state.s_p, &state.s_a, state.t, state.total, ctx)
-    }
-
-    /// Evaluates π_θ and V_θ on a batch of states in one pass through the
-    /// network. Returns one output per state, in order; each output equals
-    /// the corresponding [`Agent::policy_value`] result.
-    pub fn policy_value_batch(&self, states: &[State], ctx: &mut InferenceCtx) -> Vec<NetOutput> {
-        let refs: Vec<StateRef<'_>> = states
-            .iter()
-            .map(|s| StateRef {
-                s_p: &s.s_p,
-                s_a: &s.s_a,
-                t: s.t,
-                total: s.total,
-            })
-            .collect();
-        self.net.forward_batch(&refs, ctx)
     }
 
     /// Samples an action from π_θ.
@@ -203,39 +187,6 @@ mod tests {
         let b = Agent::load(buf.as_slice()).unwrap();
         let after = b.policy_value(&s, &mut ctx);
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn batched_policy_value_matches_singles() {
-        let a = tiny_agent();
-        let mut ctx = InferenceCtx::new();
-        let states: Vec<State> = (0..4)
-            .map(|k| {
-                let mut s = state(16);
-                s.s_p.iter_mut().enumerate().for_each(|(i, v)| {
-                    *v = ((i + k) % 3) as f32 * 0.4;
-                });
-                s.s_a[k] = 0.0;
-                s.t = k;
-                s
-            })
-            .collect();
-        let batched = a.policy_value_batch(&states, &mut ctx);
-        assert_eq!(batched.len(), states.len());
-        for (s, b) in states.iter().zip(&batched) {
-            let single = a.policy_value(s, &mut ctx);
-            assert!((single.value - b.value).abs() < 1e-5);
-            for (x, y) in single.probs.iter().zip(&b.probs) {
-                assert!((x - y).abs() < 1e-5, "{x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        let a = tiny_agent();
-        let mut ctx = InferenceCtx::new();
-        assert!(a.policy_value_batch(&[], &mut ctx).is_empty());
     }
 
     #[test]

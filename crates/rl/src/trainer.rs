@@ -35,6 +35,8 @@ use std::time::Instant;
 /// Error preparing or running pre-training.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainError {
+    /// `config.zeta` is 0: the grid would have no cells.
+    ZeroZeta,
     /// `config.net.zeta` differs from `config.zeta`.
     ZetaMismatch {
         /// Grid resolution of the network.
@@ -56,6 +58,7 @@ pub enum TrainError {
 impl std::fmt::Display for TrainError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            TrainError::ZeroZeta => write!(f, "grid resolution zeta must be at least 1"),
             TrainError::ZetaMismatch { net, env } => write!(
                 f,
                 "network grid and environment grid must agree (net ζ = {net}, env ζ = {env})"
@@ -296,6 +299,9 @@ impl<'d> Trainer<'d> {
     ///
     /// See [`TrainError`].
     pub fn try_new(design: &'d Design, config: TrainerConfig) -> Result<Self, TrainError> {
+        if config.zeta == 0 {
+            return Err(TrainError::ZeroZeta);
+        }
         if config.net.zeta != config.zeta {
             return Err(TrainError::ZetaMismatch {
                 net: config.net.zeta,
@@ -988,6 +994,15 @@ mod tests {
             .train_resumable(None, None, Some(&mut sink))
             .unwrap_err();
         assert!(matches!(err, TrainError::Checkpoint(CkptError::Io { .. })));
+    }
+
+    #[test]
+    fn zero_zeta_is_a_typed_error() {
+        // `Grid::new` asserts ζ > 0; the trainer must refuse first.
+        let d = design(15);
+        let err = Trainer::try_new(&d, TrainerConfig::tiny(0)).err().unwrap();
+        assert_eq!(err, TrainError::ZeroZeta);
+        assert!(err.to_string().contains("zeta"));
     }
 
     #[test]

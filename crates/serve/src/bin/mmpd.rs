@@ -16,6 +16,7 @@
 //! | 1         | I/O error (bind failure, unusable state dir)   |
 //! | 2         | usage error (bad flags)                        |
 
+use mmp_serve::protocol::MAX_ZETA;
 use mmp_serve::{BackoffConfig, JobDefaults, ServeConfig, Server};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -110,6 +111,12 @@ fn run() -> Result<(), CliError> {
         Ok(get_u64(k)?.map_or(d, |v| v as usize))
     };
 
+    let zeta = get_usize("zeta", 8)?;
+    if !(1..=MAX_ZETA).contains(&zeta) {
+        return Err(CliError::Usage(format!(
+            "bad --zeta: {zeta} is outside 1..={MAX_ZETA}"
+        )));
+    }
     let addr = flags
         .get("addr")
         .cloned()
@@ -127,7 +134,7 @@ fn run() -> Result<(), CliError> {
         max_budget_ms: get_u64("max-budget-ms")?,
         max_design_nodes: get_usize("max-design-nodes", 2_000_000)?,
         defaults: JobDefaults {
-            zeta: get_usize("zeta", 8)?,
+            zeta,
             episodes: get_u64("episodes")?.map(|v| v as usize),
             explorations: get_u64("explorations")?.map(|v| v as usize),
             budget: get_u64("default-budget-ms")?.map(Duration::from_millis),

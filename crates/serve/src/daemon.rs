@@ -854,6 +854,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MAX_ZETA;
     use serde::map_get;
     use std::path::Path;
 
@@ -1041,37 +1042,73 @@ mod tests {
     fn hostile_bookshelf_net_degree_is_a_bad_request_and_the_daemon_keeps_serving() {
         let dir = tmp("hostile-degree");
         let server = Server::start(config(&dir, 1)).unwrap();
-        // `usize::MAX / 3 + 1` times 3 wraps to the two pin tokens in a
-        // release build. The reader used to panic on it inside the worker,
-        // which left the job in flight forever and wedged the daemon.
-        let text = format!(
-            "REGION 0 0 10 10\\nNODES\\nm 1 1 macro hier=\\nNETS\\nn 1 {} : m 0\\nEND\\n",
-            usize::MAX / 3 + 1
-        );
-        server.handle_request(&format!(
-            r#"{{"op":"submit","id":"hostile","design":{{"bookshelf":"{text}"}}}}"#
-        ));
-        // Bounded poll: a dead worker must fail the test, not hang it.
-        let deadline = crate::clock::now() + std::time::Duration::from_secs(60);
-        let v = loop {
-            let line = server.handle_request(r#"{"op":"result","id":"hostile"}"#);
+        // A panic inside the worker would leave the job in flight forever
+        // and wedge the daemon. Each design must be refused before that:
+        // - `usize::MAX / 3 + 1` times 3 wraps to the two pin tokens in a
+        //   release build, so an allocation sized by the degree overflows;
+        // - an infinite region gives `f64::clamp` NaN bounds in the
+        //   legalizer.
+        let texts = [
+            format!(
+                "REGION 0 0 10 10\\nNODES\\nm 1 1 macro hier=\\nNETS\\nn 1 {} : m 0\\nEND\\n",
+                usize::MAX / 3 + 1
+            ),
+            "REGION 0 0 inf inf\\nNODES\\na 2 2 macro hier=\\nb 2 2 macro hier=\\nNETS\\nn 1 2 : a 0 0 b 0 0\\nEND\\n"
+                .to_owned(),
+        ];
+        for (i, text) in texts.iter().enumerate() {
+            let id = format!("hostile-{i}");
+            server.handle_request(&format!(
+                r#"{{"op":"submit","id":"{id}","design":{{"bookshelf":"{text}"}}}}"#
+            ));
+            // Bounded poll: a dead worker must fail the test, not hang it.
+            let deadline = crate::clock::now() + std::time::Duration::from_secs(60);
+            let v = loop {
+                let line = server.handle_request(&format!(r#"{{"op":"result","id":"{id}"}}"#));
+                let v = serde_json::parse_value(&line).unwrap();
+                if map_get(&v, "ok") == Some(&Value::Bool(false)) {
+                    break v;
+                }
+                assert!(crate::clock::now() < deadline, "no reply: {line}");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            };
+            let err = map_get(&v, "error").unwrap();
+            assert_eq!(
+                map_get(err, "kind"),
+                Some(&Value::Str("bad-request".into())),
+                "{v:?}"
+            );
+            // The same worker then runs the next job to completion.
+            let next = format!("next-{i}");
+            server.handle_request(&submit_line(&next, ""));
+            let done = poll_done(&server, &next);
+            assert_eq!(map_get(&done, "state"), Some(&Value::Str("done".into())));
+        }
+        server.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_zeta_is_a_bad_request_and_the_daemon_keeps_serving() {
+        let dir = tmp("zeta-range");
+        let server = Server::start(config(&dir, 1)).unwrap();
+        // ζ = 0 would trip `Grid::new`'s assert inside the worker and wedge
+        // the daemon; a huge ζ sizes the policy head by ζ⁴.
+        for z in [0, MAX_ZETA + 1] {
+            let id = format!("zeta-{z}");
+            let line = server.handle_request(&submit_line(&id, &format!(r#","zeta":{z}"#)));
             let v = serde_json::parse_value(&line).unwrap();
-            if map_get(&v, "ok") == Some(&Value::Bool(false)) {
-                break v;
-            }
-            assert!(crate::clock::now() < deadline, "no reply: {line}");
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
-        let err = map_get(&v, "error").unwrap();
-        assert_eq!(
-            map_get(err, "kind"),
-            Some(&Value::Str("bad-request".into())),
-            "{v:?}"
-        );
-        // The same worker then runs the next job to completion.
-        server.handle_request(&submit_line("next", ""));
-        let done = poll_done(&server, "next");
-        assert_eq!(map_get(&done, "state"), Some(&Value::Str("done".into())));
+            let err = map_get(&v, "error").unwrap_or_else(|| panic!("accepted: {line}"));
+            assert_eq!(
+                map_get(err, "kind"),
+                Some(&Value::Str("bad-request".into())),
+                "{v:?}"
+            );
+            let next = format!("after-{id}");
+            server.handle_request(&submit_line(&next, ""));
+            let done = poll_done(&server, &next);
+            assert_eq!(map_get(&done, "state"), Some(&Value::Str("done".into())));
+        }
         server.drain();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -35,6 +35,11 @@ use std::time::Duration;
 /// cannot balloon daemon memory with an endless line).
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
+/// Largest accepted grid resolution ζ, twice the paper's 16. The policy
+/// head alone holds 2ζ⁴ weights, so an unbounded ζ from a request could
+/// ask for more memory than the host has.
+pub const MAX_ZETA: usize = 32;
+
 /// Longest accepted job id; ids are restricted to `[A-Za-z0-9._-]` (no
 /// leading dot) so they are safe as journal directory names.
 pub const MAX_ID_BYTES: usize = 64;
@@ -420,6 +425,11 @@ impl JobRequest {
             budget_ms: get_u64(&v, "budget_ms")?,
             fault_fail_attempts: get_usize(&v, "fault_fail_attempts")?,
         };
+        if let Some(z) = req.zeta.filter(|z| !(1..=MAX_ZETA).contains(z)) {
+            return Err(ServeError::BadRequest {
+                detail: format!("zeta {z} is outside 1..={MAX_ZETA}"),
+            });
+        }
         match req.op {
             Op::Place | Op::Submit if req.design.is_none() => Err(ServeError::BadRequest {
                 detail: format!("op '{}' needs a design", req.op.name()),
@@ -598,6 +608,20 @@ mod tests {
         ] {
             let err = JobRequest::parse(line).unwrap_err();
             assert_eq!(err.kind(), "bad-request", "line {line:?} -> {err}");
+        }
+    }
+
+    #[test]
+    fn zeta_outside_one_to_max_is_a_bad_request() {
+        let line =
+            |z: usize| format!(r#"{{"op":"place","design":{{"spec":[5,0,8,40,70]}},"zeta":{z}}}"#);
+        for z in [0, MAX_ZETA + 1, usize::MAX] {
+            let err = JobRequest::parse(&line(z)).unwrap_err();
+            assert_eq!(err.kind(), "bad-request", "zeta {z} -> {err}");
+            assert!(err.to_string().contains("zeta"), "{err}");
+        }
+        for z in [1, MAX_ZETA] {
+            assert_eq!(JobRequest::parse(&line(z)).unwrap().zeta, Some(z));
         }
     }
 

@@ -183,6 +183,14 @@ const PINNED_AGENT_JSON_FNV1A: u64 = 9_114_452_914_176_466_202;
 /// `to_bits()` of the final HPWL, recorded alongside
 /// [`PINNED_AGENT_JSON_FNV1A`].
 const PINNED_HPWL_BITS: u64 = 4_669_403_135_949_215_368;
+/// The search's effort counters `(explorations, value_evaluations,
+/// terminal_evaluations, nodes)`, recorded from commit a32554e. The HPWL
+/// alone would miss a change to what the search evaluates that still
+/// commits the same groups.
+const PINNED_SEARCH_EFFORT: (usize, usize, usize, usize) = (84, 12, 6, 18);
+/// FNV-1a hash of the grid assignment's JSON, recorded alongside
+/// [`PINNED_SEARCH_EFFORT`].
+const PINNED_ASSIGNMENT_JSON_FNV1A: u64 = 17_180_650_632_906_076_241;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -194,9 +202,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn training_and_placement_bits_match_the_recorded_constants() {
     // The tests above compare two runs of one build, so a refactor that
     // moves a bit in both runs alike passes them. This one compares a
-    // trained agent and a final HPWL against constants recorded from an
-    // earlier commit. A change to the libm or the target architecture
-    // may move them; a change to the code must not.
+    // trained agent, the search's effort and outcome, and a final HPWL
+    // against constants recorded from earlier commits. A change to the
+    // libm or the target architecture may move them; a change to the code
+    // must not.
     let design = SyntheticSpec::small("det_pin", 10, 2, 14, 120, 200, true, 21).generate();
     for workers in [1usize, 4] {
         let mut cfg = small_config();
@@ -220,6 +229,23 @@ fn training_and_placement_bits_match_the_recorded_constants() {
             PINNED_HPWL_BITS,
             "workers={workers}: HPWL {} drifted from the recorded bits",
             result.hpwl
+        );
+        let s = result.mcts_stats;
+        assert_eq!(
+            (
+                s.explorations,
+                s.value_evaluations,
+                s.terminal_evaluations,
+                s.nodes
+            ),
+            PINNED_SEARCH_EFFORT,
+            "workers={workers}: search effort drifted from the recorded counts"
+        );
+        let assignment = serde_json::to_string(&result.assignment).unwrap();
+        assert_eq!(
+            fnv1a(assignment.as_bytes()),
+            PINNED_ASSIGNMENT_JSON_FNV1A,
+            "workers={workers}: grid assignment drifted from the recorded bits"
         );
     }
 }
