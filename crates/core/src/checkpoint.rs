@@ -8,8 +8,14 @@
 //! |---------------------|-------------------------------------------------|
 //! | `train.ckpt`        | in-progress RL training ([`mmp_rl::TrainCheckpoint`]) |
 //! | `train-done.ckpt`   | the finished training outcome                   |
-//! | `search.ckpt`       | in-progress MCTS search ([`mmp_mcts::SearchCheckpoint`], single-search runs) |
+//! | `search.ckpt`       | in-progress MCTS search ([`mmp_mcts::SearchCheckpoint`], single-search runs, after every [`mmp_mcts::SEARCH_CHECKPOINT_GROUPS`]th group) |
 //! | `search-done.ckpt`  | the committed final allocation                   |
+//!
+//! The search writes `search.ckpt` after every tenth committed group, not
+//! every group: one write costs about as much as the group of search it
+//! protects, and the search is deterministic once `train-done.ckpt`
+//! exists, so a crash costs at most a re-run of the groups since the last
+//! write. A search of fewer groups writes only `search-done.ckpt`.
 //!
 //! Resume (`CheckpointPlan::resume`) walks the same ladder backwards:
 //! completed stages are skipped from their `*-done` marker, an interrupted

@@ -1122,9 +1122,13 @@ mod tests {
 
     #[test]
     fn kill_mid_search_then_resume_is_bitwise_identical() {
-        let d = SyntheticSpec::small("ckpt_ks", 6, 0, 8, 50, 90, false, 4).generate();
-        let cfg = fast_config();
+        // One macro per group, so the search crosses the partial
+        // checkpoint after its tenth group before it finishes.
+        let d = SyntheticSpec::small("ckpt_ks", 12, 0, 8, 50, 90, false, 4).generate();
+        let mut cfg = fast_config();
+        cfg.trainer.group_macros = false;
         let baseline = MacroPlacer::new(cfg.clone()).place(&d).unwrap();
+        assert!(baseline.assignment.len() > mmp_mcts::SEARCH_CHECKPOINT_GROUPS);
 
         let dir = ckpt_dir("ks");
         let mut crash_cfg = cfg.clone();

@@ -123,7 +123,9 @@ pub enum ScenarioKind {
     /// write; `--resume` must continue to a bitwise-identical result.
     KillMidTrain,
     /// Process killed right after the first search-stage checkpoint
-    /// write; `--resume` must continue to a bitwise-identical result.
+    /// write, the partial `search.ckpt` after group 10 of a twelve-group
+    /// search; `--resume` must continue the search to a bitwise-identical
+    /// result.
     KillMidSearch,
     /// A checkpoint file cut short on disk: resume must refuse it with a
     /// typed checkpoint error, never a panic or a garbage placement.
@@ -429,18 +431,20 @@ fn tamper_write(path: &Path, bytes: &[u8]) -> bool {
     std::fs::write(path, bytes).is_ok()
 }
 
-/// Kills a checkpointed run at `crash`, then resumes it and compares the
-/// continuation against an uninterrupted baseline — the resume contract is
-/// *bitwise* identity, not approximate quality.
+/// Kills a checkpointed run of `cfg` at `crash`, then resumes it and
+/// compares the continuation against an uninterrupted baseline — the
+/// resume contract is *bitwise* identity, not approximate quality. The
+/// resume must take the `resumed_from` step of the checkpoint ladder.
 fn kill_and_resume(
     kind: ScenarioKind,
+    design: &Design,
+    cfg: &PlacerConfig,
     crash: CrashPoint,
-    rng: &mut FaultRng,
+    resumed_from: &str,
     seed: u64,
 ) -> Outcome {
-    let design = matrix_design(rng);
     let dir = checkpoint_dir(kind, seed);
-    let baseline = match MacroPlacer::new(matrix_config()).place(&design) {
+    let baseline = match MacroPlacer::new(cfg.clone()).place(design) {
         Ok(r) => r,
         Err(e) => {
             return Outcome::Check {
@@ -449,11 +453,11 @@ fn kill_and_resume(
             }
         }
     };
-    let mut crash_cfg = matrix_config();
+    let mut crash_cfg = cfg.clone();
     crash_cfg.fault_crash = Some(crash);
     let killed_as_typed_16 = match MacroPlacer::new(crash_cfg)
         .with_checkpoints(CheckpointPlan::new(&dir))
-        .place(&design)
+        .place(design)
     {
         Err(e) => e.exit_code() == 16 && e.stage().name() == "checkpoint",
         Ok(_) => false,
@@ -465,14 +469,15 @@ fn kill_and_resume(
                 .to_owned(),
         };
     }
-    match MacroPlacer::new(matrix_config())
+    match MacroPlacer::new(cfg.clone())
         .with_checkpoints(CheckpointPlan::resume(&dir))
-        .place(&design)
+        .place(design)
     {
         Ok(resumed) => Outcome::Check {
             ok: resumed.hpwl == baseline.hpwl
                 && resumed.assignment == baseline.assignment
-                && !resumed.checkpoint.resumes.is_empty(),
+                && !resumed.checkpoint.resumes.is_empty()
+                && resumed.checkpoint.resumes.iter().any(|r| r == resumed_from),
             detail: format!(
                 "resumed hpwl {} vs baseline {} via {:?}",
                 resumed.hpwl, baseline.hpwl, resumed.checkpoint.resumes
@@ -1164,10 +1169,20 @@ pub fn run_scenario(kind: ScenarioKind, seed: u64) -> ScenarioReport {
             }
         }
         ScenarioKind::KillMidTrain => {
-            kill_and_resume(kind, CrashPoint::after_train_writes(1), &mut rng, seed)
+            let design = matrix_design(&mut rng);
+            let crash = CrashPoint::after_train_writes(1);
+            kill_and_resume(kind, &design, &matrix_config(), crash, "train", seed)
         }
         ScenarioKind::KillMidSearch => {
-            kill_and_resume(kind, CrashPoint::after_search_writes(1), &mut rng, seed)
+            // One macro per group: the search of twelve groups writes its
+            // partial checkpoint after group 10, before the done marker.
+            let seed_of_design = 1 + (rng.next_u64() % 1000);
+            let design =
+                SyntheticSpec::small("faults", 12, 0, 8, 40, 70, false, seed_of_design).generate();
+            let mut cfg = matrix_config();
+            cfg.trainer.group_macros = false;
+            let crash = CrashPoint::after_search_writes(1);
+            kill_and_resume(kind, &design, &cfg, crash, "search", seed)
         }
         ScenarioKind::TruncatedCheckpoint
         | ScenarioKind::CorruptCheckpoint

@@ -54,18 +54,25 @@ impl TortureReport {
 /// The torture fixture: small enough that `2 × boundaries` full flow
 /// runs stay in CI-friendly time, checkpointed densely enough that every
 /// envelope kind (partial, done, train, search) contributes boundaries.
+/// One macro per group gives [`fixture_design`] twelve groups, so the
+/// search writes its partial checkpoint after group 10
+/// (`mmp_mcts::SEARCH_CHECKPOINT_GROUPS`) and then searches on.
 fn fixture_config() -> PlacerConfig {
     let mut cfg = PlacerConfig::fast(4);
     cfg.trainer.episodes = 2;
     cfg.trainer.calibration_episodes = 2;
     cfg.trainer.update_every = 1;
+    cfg.trainer.group_macros = false;
     cfg.mcts.explorations = 4;
     cfg
 }
 
 fn fixture_design() -> Design {
-    SyntheticSpec::small("torture", 5, 0, 8, 40, 70, false, 11).generate()
+    SyntheticSpec::small("torture", 12, 0, 8, 40, 70, false, 11).generate()
 }
+
+/// The partial search checkpoint's file name in a checkpoint directory.
+const SEARCH_PARTIAL: &str = "search.ckpt";
 
 /// A per-run scratch directory, wiped before use.
 fn scratch(tag: &str, sub: &str) -> PathBuf {
@@ -123,6 +130,11 @@ pub fn torture_flow(tag: &str) -> TortureReport {
     let mut failures = Vec::new();
     if boundaries == 0 {
         failures.push("recording run saw zero write boundaries".to_owned());
+    }
+    if !base_dir.join(SEARCH_PARTIAL).is_file() {
+        failures.push(format!(
+            "recording run wrote no {SEARCH_PARTIAL}: the fixture crosses no mid-search boundary"
+        ));
     }
 
     for b in 1..=boundaries {
@@ -199,7 +211,9 @@ pub fn torture_flow(tag: &str) -> TortureReport {
 // ----- daemon torture ---------------------------------------------------
 
 /// The torture daemon: one worker, tiny deterministic flow defaults, no
-/// policy cache (every life must run the same plain flow).
+/// policy cache (every life must run the same plain flow). The job's
+/// fourteen macros fall into eleven groups at ζ = 6, so its search writes
+/// one partial checkpoint, after group 10.
 fn torture_serve_config(state_dir: PathBuf) -> ServeConfig {
     let mut cfg = crate::serve_config(state_dir, 1);
     cfg.defaults.episodes = Some(2);
@@ -211,7 +225,7 @@ const TORTURE_JOB_ID: &str = "torture-job";
 
 fn torture_job_line() -> String {
     format!(
-        r#"{{"op":"submit","id":"{TORTURE_JOB_ID}","design":{{"spec":[5,0,8,40,70],"seed":11}},"zeta":4,"update_every":1}}"#
+        r#"{{"op":"submit","id":"{TORTURE_JOB_ID}","design":{{"spec":[14,0,8,40,70],"seed":11}},"zeta":6,"update_every":1}}"#
     )
 }
 
@@ -269,6 +283,12 @@ pub fn torture_daemon(tag: &str) -> TortureReport {
         server.drain();
         done.ok_or_else(|| "baseline job never finished".to_owned())
     })();
+    let crossed_search_partial = dir
+        .join("jobs")
+        .join(TORTURE_JOB_ID)
+        .join("ckpt")
+        .join(SEARCH_PARTIAL)
+        .is_file();
     let _ = std::fs::remove_dir_all(&dir);
     let base_line = match baseline {
         Ok(line) if line.contains(r#""state":"done""#) => line,
@@ -289,6 +309,11 @@ pub fn torture_daemon(tag: &str) -> TortureReport {
     let base_hpwl = crate::hpwl_bits_of_line(&base_line);
     let base_macros = crate::macro_bits_of_line(&base_line);
     let mut failures = Vec::new();
+    if !crossed_search_partial {
+        failures.push(format!(
+            "baseline job wrote no {SEARCH_PARTIAL}: the fixture crosses no mid-search boundary"
+        ));
+    }
 
     for b in 1..=boundaries {
         let dir = scratch(tag, &format!("crash-{b}"));

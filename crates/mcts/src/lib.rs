@@ -45,5 +45,6 @@ pub use ensemble::{
 };
 pub use search::{
     MctsConfig, MctsOutcome, MctsPlacer, SearchCheckpoint, SearchCheckpointSink, SearchStats,
+    SEARCH_CHECKPOINT_GROUPS,
 };
 pub use tree::{EdgeStats, SearchTree};

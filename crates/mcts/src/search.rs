@@ -102,9 +102,24 @@ pub struct SearchCheckpoint {
     pub rng: [u64; 4],
 }
 
+/// Macro groups committed between two partial [`SearchCheckpoint`]s.
+///
+/// One checkpoint write (clone the live tree, encode it, write, two fsyncs
+/// and a rename) costs about as much as the search of the group it
+/// protects, at any exploration budget, because the tree and the search
+/// work grow together. A lost checkpoint costs only a deterministic
+/// re-run of at most this many groups, so the search writes after every
+/// tenth group instead of every group.
+pub const SEARCH_CHECKPOINT_GROUPS: usize = 10;
+
 /// Receiver for the partial [`SearchCheckpoint`]s
-/// [`MctsPlacer::place_resumable`] emits after each committed group; a
-/// sink error aborts the search.
+/// [`MctsPlacer::place_resumable`] emits; a sink error aborts the search.
+///
+/// The sink is called after each committed group whose count of groups
+/// done is a multiple of [`SEARCH_CHECKPOINT_GROUPS`], and never
+/// otherwise. The rule depends on the group count alone, so a resumed
+/// search checkpoints at the same groups as an uninterrupted one, and a
+/// search of fewer groups emits nothing.
 pub type SearchCheckpointSink<'a> = &'a mut dyn FnMut(&SearchCheckpoint) -> Result<(), CkptError>;
 
 /// Result of one MCTS placement run.
@@ -219,12 +234,16 @@ impl MctsPlacer {
     /// checkpointing.
     ///
     /// `sink` is invoked with a fresh [`SearchCheckpoint`] after every
-    /// committed macro group; with `resume = Some(ck)` the committed
+    /// [`SEARCH_CHECKPOINT_GROUPS`]th committed macro group (groups 10,
+    /// 20, …): a write costs about as much as the group of search it
+    /// protects, and a lost one costs only a deterministic re-run of the
+    /// groups since the last. With `resume = Some(ck)` the committed
     /// actions are replayed through a fresh environment, the search tree
     /// and noise stream are restored, and the search continues at group
-    /// `ck.groups_done` — bitwise-identical to an uninterrupted run. The
-    /// deadline-degraded greedy fallback writes no checkpoints (it is
-    /// already the cheapest path to completion).
+    /// `ck.groups_done` — bitwise-identical to an uninterrupted run, and
+    /// writing at the same groups. The deadline-degraded greedy fallback
+    /// writes no checkpoints (it is already the cheapest path to
+    /// completion).
     ///
     /// # Errors
     ///
@@ -341,7 +360,8 @@ impl MctsPlacer {
                     let child = tree.child_of(root, edge_idx);
                     tree.advance_root(child);
                     committed.push(action);
-                    if let Some(sink) = sink.as_deref_mut() {
+                    let due = (group + 1) % SEARCH_CHECKPOINT_GROUPS == 0;
+                    if let Some(sink) = sink.as_deref_mut().filter(|_| due) {
                         let ck = SearchCheckpoint {
                             groups_done: group + 1,
                             actions: committed.clone(),
@@ -529,6 +549,20 @@ mod tests {
         (d, cfg)
     }
 
+    /// Groups of the checkpoint tests' search: two checkpoints, the second
+    /// after the last group.
+    const CKPT_GROUPS: usize = 2 * SEARCH_CHECKPOINT_GROUPS;
+
+    /// [`trained`] with one macro per group and [`CKPT_GROUPS`] macros, so
+    /// the search crosses partial-checkpoint boundaries.
+    fn trained_per_macro(seed: u64, episodes: usize) -> (mmp_netlist::Design, TrainerConfig) {
+        let d = SyntheticSpec::small("ms", CKPT_GROUPS, 0, 8, 40, 70, false, seed).generate();
+        let mut cfg = TrainerConfig::tiny(4);
+        cfg.episodes = episodes;
+        cfg.group_macros = false;
+        (d, cfg)
+    }
+
     #[test]
     fn mcts_places_every_group() {
         let (d, cfg) = trained(1, 3);
@@ -706,12 +740,14 @@ mod tests {
         assert_eq!(dl.stats.policy_greedy_groups, 0);
     }
 
-    /// Runs a full search while recording every per-group checkpoint.
+    /// Runs a search from `resume` (from scratch when `None`) while
+    /// recording every checkpoint it emits.
     fn search_recording(
         placer: &MctsPlacer,
         trainer: &Trainer<'_>,
         agent: &Agent,
         scale: &RewardScale,
+        resume: Option<SearchCheckpoint>,
     ) -> (MctsOutcome, Vec<SearchCheckpoint>) {
         let mut ctx = InferenceCtx::new();
         let mut taken: Vec<SearchCheckpoint> = Vec::new();
@@ -720,14 +756,48 @@ mod tests {
             Ok(())
         };
         let out = placer
-            .place_resumable(trainer, agent, scale, &mut ctx, None, None, Some(&mut sink))
+            .place_resumable(
+                trainer,
+                agent,
+                scale,
+                &mut ctx,
+                None,
+                resume,
+                Some(&mut sink),
+            )
             .unwrap();
         (out, taken)
     }
 
     #[test]
-    fn interrupted_search_resumes_bitwise_identically() {
+    fn checkpoints_come_after_every_tenth_group_only() {
+        // Six macros in at most six groups: fewer than one interval, so
+        // the sink never runs.
         let (d, cfg) = trained(13, 3);
+        let trainer = Trainer::new(&d, cfg);
+        let out = trainer.train();
+        assert!(trainer.coarse().macro_groups().len() < SEARCH_CHECKPOINT_GROUPS);
+        let placer = MctsPlacer::new(MctsConfig {
+            explorations: 6,
+            ..MctsConfig::default()
+        });
+        let full = placer.place(&trainer, &out.agent, &out.scale);
+        let (recorded, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale, None);
+        assert_eq!(recorded, full);
+        assert!(taken.is_empty(), "{} checkpoints", taken.len());
+
+        let (d, cfg) = trained_per_macro(13, 3);
+        let trainer = Trainer::new(&d, cfg);
+        let out = trainer.train();
+        assert_eq!(trainer.coarse().macro_groups().len(), CKPT_GROUPS);
+        let (_, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale, None);
+        let at: Vec<usize> = taken.iter().map(|ck| ck.groups_done).collect();
+        assert_eq!(at, [SEARCH_CHECKPOINT_GROUPS, CKPT_GROUPS]);
+    }
+
+    #[test]
+    fn interrupted_search_resumes_bitwise_identically() {
+        let (d, cfg) = trained_per_macro(13, 3);
         let trainer = Trainer::new(&d, cfg);
         let out = trainer.train();
         let mcts_cfg = MctsConfig {
@@ -736,41 +806,51 @@ mod tests {
         };
         let placer = MctsPlacer::new(mcts_cfg.clone());
         let full = placer.place(&trainer, &out.agent, &out.scale);
-        let (recorded, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale);
+        let (recorded, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale, None);
         assert_eq!(recorded.assignment, full.assignment);
         let groups = trainer.coarse().macro_groups().len();
-        assert_eq!(taken.len(), groups, "one checkpoint per committed group");
+        assert_eq!(
+            taken.len(),
+            groups / SEARCH_CHECKPOINT_GROUPS,
+            "one checkpoint per tenth committed group"
+        );
+        let json = |cks: &[SearchCheckpoint]| -> Vec<String> {
+            cks.iter()
+                .map(|ck| serde_json::to_string(ck).unwrap())
+                .collect()
+        };
         // Resume from every mid-run checkpoint with a *fresh* placer (no
-        // hidden state may be needed beyond the checkpoint itself).
-        for ck in taken.into_iter().take(groups.saturating_sub(1)) {
-            let mut ctx = InferenceCtx::new();
-            let resumed = MctsPlacer::new(mcts_cfg.clone())
-                .place_resumable(
-                    &trainer,
-                    &out.agent,
-                    &out.scale,
-                    &mut ctx,
-                    None,
-                    Some(ck),
-                    None,
-                )
-                .unwrap();
+        // hidden state may be needed beyond the checkpoint itself). The
+        // continuation writes the same later checkpoints the uninterrupted
+        // search wrote.
+        for (i, ck) in taken.iter().enumerate() {
+            if ck.groups_done == groups {
+                continue;
+            }
+            let (resumed, later) = search_recording(
+                &MctsPlacer::new(mcts_cfg.clone()),
+                &trainer,
+                &out.agent,
+                &out.scale,
+                Some(ck.clone()),
+            );
             assert_eq!(resumed.assignment, full.assignment);
             assert_eq!(resumed.wirelength, full.wirelength);
             assert_eq!(resumed.stats, full.stats);
+            assert_eq!(json(&later), json(&taken[i + 1..]));
         }
     }
 
     #[test]
     fn search_checkpoints_hold_only_the_live_subtree() {
-        let (d, cfg) = trained(13, 3);
+        let (d, cfg) = trained_per_macro(13, 3);
         let trainer = Trainer::new(&d, cfg);
         let out = trainer.train();
         let placer = MctsPlacer::new(MctsConfig {
             explorations: 6,
             ..MctsConfig::default()
         });
-        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale);
+        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale, None);
         for ck in &taken {
             assert_eq!(ck.tree.root(), 0);
             assert_eq!(ck.tree.check(), Ok(()));
@@ -846,7 +926,7 @@ mod tests {
 
     #[test]
     fn checkpoint_with_dead_nodes_resumes_bitwise_identically() {
-        let (d, cfg) = trained(13, 3);
+        let (d, cfg) = trained_per_macro(13, 3);
         let trainer = Trainer::new(&d, cfg);
         let out = trainer.train();
         let mcts_cfg = MctsConfig {
@@ -854,7 +934,7 @@ mod tests {
             ..MctsConfig::default()
         };
         let placer = MctsPlacer::new(mcts_cfg.clone());
-        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale);
+        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale, None);
         let groups = taken.len();
         for ck in taken.iter().take(groups.saturating_sub(1)) {
             let mut ctx = InferenceCtx::new();
@@ -879,7 +959,7 @@ mod tests {
     fn noisy_interrupted_search_resumes_bitwise_identically() {
         // prior_noise > 0 exercises the RNG stream restore: the resumed
         // search must draw exactly the noise the uninterrupted one did.
-        let (d, cfg) = trained(14, 3);
+        let (d, cfg) = trained_per_macro(14, 3);
         let trainer = Trainer::new(&d, cfg);
         let out = trainer.train();
         let mcts_cfg = MctsConfig {
@@ -889,9 +969,10 @@ mod tests {
             ..MctsConfig::default()
         };
         let placer = MctsPlacer::new(mcts_cfg.clone());
-        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale);
-        let mid = taken.len() / 2;
-        let ck = taken.into_iter().nth(mid).unwrap();
+        let (full, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale, None);
+        // The checkpoint after group 10 of 20: half the search is left.
+        let ck = taken.into_iter().next().unwrap();
+        assert_eq!(ck.groups_done, SEARCH_CHECKPOINT_GROUPS);
         // Round-trip through JSON too: what the flow persists is the
         // serialized form.
         let ck: SearchCheckpoint =
@@ -915,14 +996,14 @@ mod tests {
 
     #[test]
     fn unusable_search_checkpoint_is_a_typed_error() {
-        let (d, cfg) = trained(15, 2);
+        let (d, cfg) = trained_per_macro(15, 2);
         let trainer = Trainer::new(&d, cfg);
         let out = trainer.train();
         let placer = MctsPlacer::new(MctsConfig {
             explorations: 4,
             ..MctsConfig::default()
         });
-        let (_, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale);
+        let (_, taken) = search_recording(&placer, &trainer, &out.agent, &out.scale, None);
         let mut ctx = InferenceCtx::new();
 
         // Action/group count mismatch.

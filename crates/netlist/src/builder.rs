@@ -14,6 +14,8 @@ pub enum BuildDesignError {
     EmptyRegion,
     /// A corner of the placement region is infinite or NaN.
     NonFiniteRegion,
+    /// The placement region's corners are finite but its area is not.
+    RegionAreaOverflow,
     /// A net references a node id that was never added.
     DanglingPin {
         /// Name of the offending net.
@@ -31,7 +33,7 @@ pub enum BuildDesignError {
         /// The repeated name.
         name: String,
     },
-    /// A node has a non-positive outline.
+    /// A node has a non-positive or non-finite outline.
     InvalidOutline {
         /// Name of the offending node.
         name: String,
@@ -46,6 +48,16 @@ pub enum BuildDesignError {
         /// Name of the offending net.
         net: String,
     },
+    /// A pin offset is infinite or NaN.
+    NonFinitePinOffset {
+        /// Name of the offending net.
+        net: String,
+    },
+    /// An I/O pad sits at an infinite or NaN position.
+    NonFinitePad {
+        /// Name of the offending pad.
+        name: String,
+    },
 }
 
 impl fmt::Display for BuildDesignError {
@@ -55,6 +67,9 @@ impl fmt::Display for BuildDesignError {
             BuildDesignError::NonFiniteRegion => {
                 write!(f, "placement region has a non-finite corner")
             }
+            BuildDesignError::RegionAreaOverflow => {
+                write!(f, "placement region's area overflows")
+            }
             BuildDesignError::DanglingPin { net, node } => {
                 write!(f, "net {net} references unknown node {node}")
             }
@@ -63,13 +78,19 @@ impl fmt::Display for BuildDesignError {
                 write!(f, "duplicate instance name {name}")
             }
             BuildDesignError::InvalidOutline { name } => {
-                write!(f, "node {name} has a non-positive outline")
+                write!(f, "node {name} has a non-positive or non-finite outline")
             }
             BuildDesignError::PreplacedOutsideRegion { name } => {
                 write!(f, "preplaced macro {name} leaves the placement region")
             }
             BuildDesignError::InvalidNetWeight { net } => {
                 write!(f, "net {net} has a non-positive or non-finite weight")
+            }
+            BuildDesignError::NonFinitePinOffset { net } => {
+                write!(f, "net {net} has a pin with a non-finite offset")
+            }
+            BuildDesignError::NonFinitePad { name } => {
+                write!(f, "pad {name} has a non-finite position")
             }
         }
     }
@@ -192,8 +213,9 @@ impl DesignBuilder {
     ///
     /// Returns [`BuildDesignError::EmptyNet`] for a pin-less net,
     /// [`BuildDesignError::DanglingPin`] when a referenced node does not
-    /// exist yet, and [`BuildDesignError::InvalidNetWeight`] for a
-    /// non-positive or non-finite weight.
+    /// exist yet, [`BuildDesignError::NonFinitePinOffset`] for a pin offset
+    /// that is infinite or NaN, and [`BuildDesignError::InvalidNetWeight`]
+    /// for a non-positive or non-finite weight.
     pub fn add_net<I>(
         &mut self,
         name: impl Into<String>,
@@ -226,6 +248,9 @@ impl DesignBuilder {
                     node: pin.node,
                 });
             }
+            if !pin.offset.is_finite() {
+                return Err(BuildDesignError::NonFinitePinOffset { net: name });
+            }
         }
         let id = NetId::from_index(self.nets.len());
         self.nets.push(Net { name, pins, weight });
@@ -246,8 +271,10 @@ impl DesignBuilder {
     ///
     /// # Errors
     ///
-    /// See [`BuildDesignError`]: empty or non-finite region, duplicate
-    /// names, non-positive outlines, preplaced macros escaping the region.
+    /// See [`BuildDesignError`]: empty or non-finite region, a region
+    /// whose area overflows, duplicate names, non-positive or non-finite
+    /// outlines, preplaced macros escaping the region, pads at non-finite
+    /// positions.
     pub fn build(self) -> Result<Design, BuildDesignError> {
         let r = &self.region;
         if ![r.x, r.y, r.right(), r.top()].iter().all(|v| v.is_finite()) {
@@ -255,6 +282,9 @@ impl DesignBuilder {
         }
         if self.region.is_empty() {
             return Err(BuildDesignError::EmptyRegion);
+        }
+        if !r.area().is_finite() {
+            return Err(BuildDesignError::RegionAreaOverflow);
         }
         let mut seen = BTreeSet::new();
         for name in self
@@ -268,8 +298,9 @@ impl DesignBuilder {
                 return Err(BuildDesignError::DuplicateName { name: name.clone() });
             }
         }
+        let valid_outline = |w: f64, h: f64| w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite();
         for m in &self.macros {
-            if !(m.width > 0.0 && m.height > 0.0) {
+            if !valid_outline(m.width, m.height) {
                 return Err(BuildDesignError::InvalidOutline {
                     name: m.name.clone(),
                 });
@@ -284,9 +315,16 @@ impl DesignBuilder {
             }
         }
         for c in &self.cells {
-            if !(c.width > 0.0 && c.height > 0.0) {
+            if !valid_outline(c.width, c.height) {
                 return Err(BuildDesignError::InvalidOutline {
                     name: c.name.clone(),
+                });
+            }
+        }
+        for p in &self.pads {
+            if !p.position.is_finite() {
+                return Err(BuildDesignError::NonFinitePad {
+                    name: p.name.clone(),
                 });
             }
         }
@@ -357,6 +395,71 @@ mod tests {
     }
 
     #[test]
+    fn region_whose_area_overflows_is_rejected() {
+        // Finite corners, infinite area: the reward calibration would see
+        // only infinite wirelengths.
+        let b = DesignBuilder::new("d", Rect::new(0.0, 0.0, 1e308, 1e308));
+        assert_eq!(b.build(), Err(BuildDesignError::RegionAreaOverflow));
+    }
+
+    #[test]
+    fn non_finite_pad_is_rejected() {
+        for at in [
+            Point::new(f64::INFINITY, 5.0),
+            Point::new(5.0, f64::NEG_INFINITY),
+            Point::new(f64::NAN, 5.0),
+        ] {
+            let mut b = DesignBuilder::new("d", region());
+            b.add_pad("p", at);
+            assert_eq!(
+                b.build(),
+                Err(BuildDesignError::NonFinitePad { name: "p".into() }),
+                "{at:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_pin_offset_is_rejected() {
+        for offset in [Point::new(f64::INFINITY, 0.0), Point::new(0.0, f64::NAN)] {
+            let mut b = DesignBuilder::new("d", region());
+            let m = b.add_macro("m", 1.0, 1.0, "");
+            let err = b
+                .add_net("n", [(NodeRef::Macro(m), offset)], 1.0)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                BuildDesignError::NonFinitePinOffset { net: "n".into() },
+                "{offset:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_macro_outline_is_rejected() {
+        for (w, h) in [(f64::INFINITY, 5.0), (5.0, f64::INFINITY)] {
+            let mut b = DesignBuilder::new("d", region());
+            b.add_macro("m", w, h, "");
+            assert_eq!(
+                b.build(),
+                Err(BuildDesignError::InvalidOutline { name: "m".into() })
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_cell_outline_is_rejected() {
+        for (w, h) in [(f64::INFINITY, 1.0), (1.0, f64::INFINITY)] {
+            let mut b = DesignBuilder::new("d", region());
+            b.add_cell("c", w, h, "");
+            assert_eq!(
+                b.build(),
+                Err(BuildDesignError::InvalidOutline { name: "c".into() })
+            );
+        }
+    }
+
+    #[test]
     fn dangling_pin_is_rejected() {
         let mut b = DesignBuilder::new("d", region());
         let err = b
@@ -405,12 +508,22 @@ mod tests {
 
     #[test]
     fn preplaced_macro_must_fit_region() {
-        let mut b = DesignBuilder::new("d", region());
-        b.add_preplaced_macro("m", 10.0, 10.0, "", Point::new(99.0, 50.0));
-        assert!(matches!(
-            b.build().unwrap_err(),
-            BuildDesignError::PreplacedOutsideRegion { .. }
-        ));
+        // A non-finite center puts the outline outside any finite region.
+        for center in [
+            Point::new(99.0, 50.0),
+            Point::new(f64::INFINITY, 50.0),
+            Point::new(50.0, f64::NAN),
+        ] {
+            let mut b = DesignBuilder::new("d", region());
+            b.add_preplaced_macro("m", 10.0, 10.0, "", center);
+            assert!(
+                matches!(
+                    b.build().unwrap_err(),
+                    BuildDesignError::PreplacedOutsideRegion { .. }
+                ),
+                "{center:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   contiguous ranges of `ceil(tasks / workers)`, worker `w` taking range
 //!   `w` — no stealing, no racing for indices;
 //! * results are collected in **ascending task order**, and the reduction
-//!   helpers ([`ThreadPool::dot_f32`], [`ThreadPool::sum_f32`]) use a fixed
+//!   helpers ([`ThreadPool::dot_f64`], [`ThreadPool::sum_f64`]) use a fixed
 //!   chunk size ([`SUM_CHUNK`]) *independent of the worker count*, folding
 //!   partials in ascending chunk order — so a pool with 8 workers is
 //!   bitwise identical to one with 1.
@@ -46,8 +46,8 @@ pub const MAX_WORKERS: usize = 64;
 /// on how chunks were distributed over threads.
 pub const SUM_CHUNK: usize = 1024;
 
-/// Minimum vector length before [`ThreadPool::dot_f32`] /
-/// [`ThreadPool::sum_f32`] spawn threads; below it the same chunked
+/// Minimum vector length before [`ThreadPool::dot_f64`] /
+/// [`ThreadPool::sum_f64`] spawn threads; below it the same chunked
 /// reduction runs inline (identical bits, no spawn overhead).
 const PAR_MIN_REDUCE: usize = 16_384;
 
@@ -341,38 +341,10 @@ impl ThreadPool {
         }
     }
 
-    /// Deterministic dot product: partial sums over fixed [`SUM_CHUNK`]
-    /// ranges, folded in ascending chunk order. Bitwise identical at every
-    /// worker count (and to the inline path used for short vectors).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths differ.
-    pub fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32 {
-        assert_eq!(x.len(), y.len(), "dot length mismatch");
-        self.reduce_chunked(x.len(), 0.0f32, |lo, hi| {
-            let mut acc = 0.0f32;
-            for (xv, yv) in x[lo..hi].iter().zip(&y[lo..hi]) {
-                acc += xv * yv;
-            }
-            acc
-        })
-    }
-
-    /// Deterministic sum with the same fixed-chunk reduction order as
-    /// [`ThreadPool::dot_f32`].
-    pub fn sum_f32(&self, x: &[f32]) -> f32 {
-        self.reduce_chunked(x.len(), 0.0f32, |lo, hi| {
-            let mut acc = 0.0f32;
-            for v in &x[lo..hi] {
-                acc += v;
-            }
-            acc
-        })
-    }
-
-    /// [`ThreadPool::dot_f32`] for `f64` vectors (used by the analytic
-    /// solver, which runs in double precision).
+    /// Deterministic dot product (used by the analytic solver, which runs
+    /// in double precision): partial sums over fixed [`SUM_CHUNK`] ranges,
+    /// folded in ascending chunk order. Bitwise identical at every worker
+    /// count (and to the inline path used for short vectors).
     ///
     /// # Panics
     ///
@@ -388,7 +360,8 @@ impl ThreadPool {
         })
     }
 
-    /// [`ThreadPool::sum_f32`] for `f64` vectors.
+    /// Deterministic sum with the same fixed-chunk reduction order as
+    /// [`ThreadPool::dot_f64`].
     pub fn sum_f64(&self, x: &[f64]) -> f64 {
         self.reduce_chunked(x.len(), 0.0f64, |lo, hi| {
             let mut acc = 0.0f64;
@@ -441,6 +414,10 @@ mod tests {
                 ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
             })
             .collect()
+    }
+
+    fn lcg_f64(seed: u64, len: usize) -> Vec<f64> {
+        lcg_data(seed, len).into_iter().map(f64::from).collect()
     }
 
     #[test]
@@ -613,39 +590,17 @@ mod tests {
     }
 
     #[test]
-    fn dot_matches_serial_chunked_order_exactly() {
-        let x = lcg_data(7, 40_000);
-        let y = lcg_data(8, 40_000);
-        // Hand-rolled canonical order: SUM_CHUNK partials folded ascending.
-        let mut want = 0.0f32;
-        for ci in 0..x.len().div_ceil(SUM_CHUNK) {
-            let lo = ci * SUM_CHUNK;
-            let hi = ((ci + 1) * SUM_CHUNK).min(x.len());
-            let mut p = 0.0f32;
-            for (a, b) in x[lo..hi].iter().zip(&y[lo..hi]) {
-                p += a * b;
-            }
-            want += p;
-        }
-        for w in [1, 2, 4, 8] {
-            let pool = ThreadPool::try_new(w).unwrap();
-            assert_eq!(pool.dot_f32(&x, &y).to_bits(), want.to_bits(), "w={w}");
-        }
-    }
-
-    #[test]
     fn empty_reductions_are_zero() {
         let pool = ThreadPool::try_new(4).unwrap();
-        assert_eq!(pool.dot_f32(&[], &[]), 0.0);
-        assert_eq!(pool.sum_f32(&[]), 0.0);
         assert_eq!(pool.dot_f64(&[], &[]), 0.0);
         assert_eq!(pool.sum_f64(&[]), 0.0);
     }
 
     #[test]
     fn f64_reductions_match_canonical_order_bitwise() {
-        let x: Vec<f64> = lcg_data(11, 40_000).iter().map(|&v| v as f64).collect();
-        let y: Vec<f64> = lcg_data(13, 40_000).iter().map(|&v| v as f64).collect();
+        let x = lcg_f64(11, 40_000);
+        let y = lcg_f64(13, 40_000);
+        // Hand-rolled canonical order: SUM_CHUNK partials folded ascending.
         let mut want_dot = 0.0f64;
         let mut want_sum = 0.0f64;
         for ci in 0..x.len().div_ceil(SUM_CHUNK) {
@@ -681,8 +636,9 @@ mod tests {
         ) {
             let x = lcg_data(seed, len);
             let y = lcg_data(seed ^ 0xc0ffee, len);
+            let (xd, yd) = (lcg_f64(seed, len), lcg_f64(seed ^ 0xc0ffee, len));
 
-            let outputs: Vec<(Vec<u32>, u32, u32, Vec<u32>)> = [1usize, 2, 4, 8]
+            let outputs: Vec<(Vec<u32>, u64, u64, Vec<u32>)> = [1usize, 2, 4, 8]
                 .iter()
                 .map(|&w| {
                     let pool = ThreadPool::try_new(w).unwrap();
@@ -697,8 +653,8 @@ mod tests {
                             }
                             acc.to_bits()
                         });
-                    let dot = pool.dot_f32(&x, &y).to_bits();
-                    let sum = pool.sum_f32(&x).to_bits();
+                    let dot = pool.dot_f64(&xd, &yd).to_bits();
+                    let sum = pool.sum_f64(&xd).to_bits();
                     let mut data = x.clone();
                     pool.for_each_chunk_mut(&mut data, 37, |off, sl| {
                         for (j, v) in sl.iter_mut().enumerate() {

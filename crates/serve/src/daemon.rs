@@ -1047,13 +1047,17 @@ mod tests {
         // - `usize::MAX / 3 + 1` times 3 wraps to the two pin tokens in a
         //   release build, so an allocation sized by the degree overflows;
         // - an infinite region gives `f64::clamp` NaN bounds in the
-        //   legalizer.
+        //   legalizer;
+        // - a finite region whose area overflows leaves reward calibration
+        //   only infinite wirelengths, reported as a training failure.
         let texts = [
             format!(
                 "REGION 0 0 10 10\\nNODES\\nm 1 1 macro hier=\\nNETS\\nn 1 {} : m 0\\nEND\\n",
                 usize::MAX / 3 + 1
             ),
             "REGION 0 0 inf inf\\nNODES\\na 2 2 macro hier=\\nb 2 2 macro hier=\\nNETS\\nn 1 2 : a 0 0 b 0 0\\nEND\\n"
+                .to_owned(),
+            "REGION 0 0 1e308 1e308\\nNODES\\na 2 2 macro hier=\\nb 2 2 macro hier=\\nNETS\\nn 1 2 : a 0 0 b 0 0\\nEND\\n"
                 .to_owned(),
         ];
         for (i, text) in texts.iter().enumerate() {

@@ -7,6 +7,7 @@ use mmp_core::{
     CheckpointPlan, CrashPoint, MacroPlacer, PlaceError, PlacementResult, PlacerConfig, RunBudget,
     Stage, SyntheticSpec,
 };
+use mmp_mcts::SEARCH_CHECKPOINT_GROUPS;
 use mmp_netlist::Design;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -27,6 +28,19 @@ fn small_config() -> PlacerConfig {
 
 fn small_design(name: &str, seed: u64) -> Design {
     SyntheticSpec::small(name, 5, 0, 8, 40, 70, false, seed).generate()
+}
+
+/// [`small_config`] with one macro per group, so a design of `n` movable
+/// macros searches `n` groups and crosses a partial search checkpoint
+/// once `n` reaches [`SEARCH_CHECKPOINT_GROUPS`].
+fn per_macro_config() -> PlacerConfig {
+    let mut cfg = small_config();
+    cfg.trainer.group_macros = false;
+    cfg
+}
+
+fn per_macro_design(name: &str, macros: usize, seed: u64) -> Design {
+    SyntheticSpec::small(name, macros, 0, 8, 40, 70, false, seed).generate()
 }
 
 /// Runs to the typed crash error, then resumes and returns the result.
@@ -55,16 +69,24 @@ fn crash_then_resume(
 
 #[test]
 fn clean_interrupted_run_resumes_bitwise_identically() {
-    let design = small_design("it_ck_clean", 21);
-    let cfg = small_config();
+    // Twelve groups: the first search-stage write is the partial
+    // checkpoint after group 10, not the done marker.
+    let design = per_macro_design("it_ck_clean", 12, 21);
+    let cfg = per_macro_config();
     let baseline = MacroPlacer::new(cfg.clone()).place(&design).unwrap();
+    assert!(baseline.assignment.len() > SEARCH_CHECKPOINT_GROUPS);
 
-    for (label, crash) in [
-        ("train", CrashPoint::after_train_writes(1)),
-        ("search", CrashPoint::after_search_writes(1)),
+    for (label, crash, resumes) in [
+        ("train", CrashPoint::after_train_writes(1), vec!["train"]),
+        (
+            "search",
+            CrashPoint::after_search_writes(1),
+            vec!["train-done", "search"],
+        ),
     ] {
         let dir = ckpt_dir(label);
         let resumed = crash_then_resume(&design, &cfg, &dir, crash);
+        assert_eq!(resumed.checkpoint.resumes, resumes, "kill-mid-{label}");
         assert_eq!(resumed.hpwl, baseline.hpwl, "kill-mid-{label}");
         assert_eq!(resumed.assignment, baseline.assignment, "kill-mid-{label}");
         assert_eq!(resumed.placement, baseline.placement, "kill-mid-{label}");
@@ -99,9 +121,10 @@ fn zero_budget_crash_resumes_under_a_generous_budget() {
     // run killed under a starved budget may be resumed with a bigger
     // allowance. The resumed run must match a baseline that ran under the
     // *same starved train budget* (the checkpointed stage), because resume
-    // replays the recorded training, not the new budget's.
-    let design = small_design("it_ck_budget", 23);
-    let mut starved = small_config();
+    // replays the recorded training, not the new budget's. Twelve groups
+    // put the crash after the partial search checkpoint of group 10.
+    let design = per_macro_design("it_ck_budget", 12, 23);
+    let mut starved = per_macro_config();
     starved.budget.train = Some(Duration::ZERO);
     let baseline = MacroPlacer::new(starved.clone()).place(&design).unwrap();
     assert!(baseline.degradation.affects(Stage::Train));
@@ -121,6 +144,7 @@ fn zero_budget_crash_resumes_under_a_generous_budget() {
         .with_checkpoints(CheckpointPlan::resume(&dir))
         .place(&design)
         .unwrap();
+    assert_eq!(resumed.checkpoint.resumes, ["train-done", "search"]);
     assert_eq!(resumed.hpwl, baseline.hpwl);
     assert_eq!(resumed.assignment, baseline.assignment);
     assert_eq!(resumed.training, baseline.training);
@@ -146,9 +170,10 @@ fn last_search_checkpoint_holds_only_the_terminal_node() {
     // Each search checkpoint carries the live subtree under the committed
     // action; after the last group that is a single terminal node, while
     // the run's node count still covers every node the search allocated.
-    let design = small_design("it_ck_live", 25);
+    // Ten groups put the one partial checkpoint after the last group.
+    let design = per_macro_design("it_ck_live", SEARCH_CHECKPOINT_GROUPS, 25);
     let dir = ckpt_dir("live");
-    let result = MacroPlacer::new(small_config())
+    let result = MacroPlacer::new(per_macro_config())
         .with_checkpoints(CheckpointPlan::new(&dir))
         .place(&design)
         .unwrap();
@@ -159,6 +184,26 @@ fn last_search_checkpoint_holds_only_the_terminal_node() {
     assert_eq!((ck.tree.root(), ck.tree.len()), (0, 1));
     assert_eq!(ck.tree.allocated(), result.mcts_stats.nodes);
     assert!(result.mcts_stats.nodes > 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_search_shorter_than_one_checkpoint_interval_writes_only_its_done_marker() {
+    // Nine groups end the search before its first partial checkpoint is
+    // due: the completed-search marker is the stage's one file.
+    let design = per_macro_design("it_ck_short", SEARCH_CHECKPOINT_GROUPS - 1, 26);
+    let dir = ckpt_dir("short");
+    let result = MacroPlacer::new(per_macro_config())
+        .with_checkpoints(CheckpointPlan::new(&dir))
+        .place(&design)
+        .unwrap();
+    assert_eq!(result.assignment.len(), SEARCH_CHECKPOINT_GROUPS - 1);
+    let search_files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("search"))
+        .collect();
+    assert_eq!(search_files, ["search-done.ckpt"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
