@@ -279,7 +279,7 @@ mod tests {
                 t.add(i + 1, i, -1.0);
             }
         }
-        t.to_csr()
+        t.into_csr()
     }
 
     #[test]
@@ -288,7 +288,7 @@ mod tests {
         for i in 0..3 {
             t.add(i, i, 1.0);
         }
-        let out = solve(&t.to_csr(), &[1.0, -2.0, 3.0], &[0.0; 3], 1e-12, 100);
+        let out = solve(&t.into_csr(), &[1.0, -2.0, 3.0], &[0.0; 3], 1e-12, 100);
         assert!(out.converged);
         for (got, want) in out.x.iter().zip([1.0, -2.0, 3.0]) {
             assert!((got - want).abs() < 1e-10);
@@ -323,7 +323,7 @@ mod tests {
         // Row 1 has zero diagonal: variable 1 must stay at its warm start.
         let mut t = Triplets::new(2);
         t.add(0, 0, 4.0);
-        let a = t.to_csr();
+        let a = t.into_csr();
         let out = solve(&a, &[8.0, 123.0], &[0.0, 7.0], 1e-12, 50);
         assert!((out.x[0] - 2.0).abs() < 1e-10);
         assert_eq!(out.x[1], 7.0);
@@ -354,7 +354,7 @@ mod tests {
         t.add(2, 2, 2.0);
         t.add(0, 1, -1.0);
         t.add(1, 0, -1.0);
-        let a = t.to_csr();
+        let a = t.into_csr();
         let out = solve(&a, &[1.0, 1.0, 1.0], &[0.5, 0.5, 0.5], 1e-10, 100);
         assert!(out.x.iter().all(|v| v.is_finite()), "{:?}", out.x);
         assert!(!out.converged || !out.diverged);

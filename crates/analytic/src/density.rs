@@ -274,7 +274,7 @@ impl SpreadGrid {
 
     /// [`SpreadGrid::shift`] with the per-strip work distributed over
     /// `pool` (one task per bin-row, then per bin-column), or inline below
-    /// [`SPREAD_PAR_MIN_NODES`]. Strips are independent and the scatter
+    /// 16,384 nodes. Strips are independent and the scatter
     /// back runs sequentially in ascending strip order, so the result is
     /// bitwise identical at any worker count.
     ///

@@ -1,13 +1,12 @@
 //! The global placement driver: iterated B2B solves + cell shifting.
 
-use crate::b2b::{build_system, Axis};
+use crate::b2b::{build_system, Axis, PinTable};
 use crate::cg;
 use crate::density::SpreadGrid;
 use mmp_geom::Point;
-use mmp_netlist::{Design, MacroId, NodeRef, Placement};
+use mmp_netlist::{CellId, Design, MacroId, Placement};
 use mmp_obs::{field, Obs};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Tuning of the [`GlobalPlacer`] loop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,26 +124,14 @@ impl GlobalPlacer {
     /// variables. This is the initial placement that feeds clustering
     /// (Sec. II-A cites \[23\]).
     pub fn place_mixed(&self, design: &Design) -> Placement {
-        let movables: Vec<NodeRef> = design
-            .movable_macros()
-            .into_iter()
-            .map(NodeRef::Macro)
-            .chain(
-                (0..design.cells().len())
-                    .map(|i| NodeRef::Cell(mmp_netlist::CellId::from_index(i))),
-            )
-            .collect();
-        self.run(design, movables, Placement::initial(design))
+        self.run(design, &design.movable_macros(), Placement::initial(design))
     }
 
     /// Cells-only placement with every macro fixed at its position in
     /// `macro_placement` — the cell placement + HPWL measurement step
     /// (Sec. II-C).
     pub fn place_cells(&self, design: &Design, macro_placement: &Placement) -> CellPlaceOutcome {
-        let movables: Vec<NodeRef> = (0..design.cells().len())
-            .map(|i| NodeRef::Cell(mmp_netlist::CellId::from_index(i)))
-            .collect();
-        let placement = self.run(design, movables, macro_placement.clone());
+        let placement = self.run(design, &[], macro_placement.clone());
         let hpwl = placement.hpwl(design);
         CellPlaceOutcome { placement, hpwl }
     }
@@ -157,8 +144,11 @@ impl GlobalPlacer {
         }
     }
 
-    fn run(&self, design: &Design, movables: Vec<NodeRef>, initial: Placement) -> Placement {
-        let n = movables.len();
+    /// Places `movable_macros` and every cell (columns in that order, as
+    /// [`PinTable`] assigns them); every other macro stays at its center in
+    /// `initial`.
+    fn run(&self, design: &Design, movable_macros: &[MacroId], initial: Placement) -> Placement {
+        let n = movable_macros.len() + design.cells().len();
         if n == 0 || design.nets().is_empty() {
             return initial;
         }
@@ -166,23 +156,24 @@ impl GlobalPlacer {
         let region = *design.region();
         let nbins = self.auto_bins(n);
 
-        // mmp-lint: allow(hash-order) why: node→column lookup built once and only probed, never iterated
-        let mut var_index: HashMap<NodeRef, usize> = HashMap::with_capacity(n);
-        for (i, &node) in movables.iter().enumerate() {
-            var_index.insert(node, i);
-        }
+        let table = PinTable::new(design, movable_macros, &initial);
         let mut xs = Vec::with_capacity(n);
         let mut ys = Vec::with_capacity(n);
         let mut areas = Vec::with_capacity(n);
         let mut half_w = Vec::with_capacity(n);
         let mut half_h = Vec::with_capacity(n);
-        for &node in &movables {
-            let p = match node {
-                NodeRef::Macro(id) => initial.macro_center(id),
-                NodeRef::Cell(id) => initial.cell_center(id),
-                NodeRef::Pad(_) => unreachable!("pads are never movable"),
-            };
-            let (w, h) = design.node_size(node);
+        let macros = movable_macros.iter().map(|&id| {
+            let mac = design.macro_(id);
+            (initial.macro_center(id), mac.width, mac.height)
+        });
+        let cells = design.cells().iter().enumerate().map(|(i, cell)| {
+            (
+                initial.cell_center(CellId::from_index(i)),
+                cell.width,
+                cell.height,
+            )
+        });
+        for (p, w, h) in macros.chain(cells) {
             xs.push(p.x);
             ys.push(p.y);
             areas.push((w * h).max(1e-9));
@@ -193,15 +184,9 @@ impl GlobalPlacer {
         // Spreading grid with fixed macros (preplaced, or frozen by the
         // caller) blocked out of bin capacity.
         let mut grid = SpreadGrid::new(region.x, region.y, region.width, region.height, nbins);
-        {
-            // mmp-lint: allow(hash-order) why: membership probe over the macro loop below, never iterated
-            let movable_set: std::collections::HashSet<NodeRef> =
-                movables.iter().copied().collect();
-            for i in 0..design.macros().len() {
-                let id = MacroId::from_index(i);
-                if movable_set.contains(&NodeRef::Macro(id)) {
-                    continue;
-                }
+        for i in 0..design.macros().len() {
+            let id = MacroId::from_index(i);
+            if table.macro_column(id).is_none() {
                 let r = initial.macro_rect(design, id);
                 grid.block(r.x, r.y, r.width, r.height);
             }
@@ -212,24 +197,8 @@ impl GlobalPlacer {
         let mut anchor_w = cfg.anchor_weight;
 
         for iter in 0..cfg.iterations {
-            // Snapshot for the closures.
-            let snap_x = xs.clone();
-            let snap_y = ys.clone();
-            let initial_ref = &initial;
-            let var_ref = &var_index;
-            let pos_of = move |node: NodeRef| -> Point {
-                if let Some(&v) = var_ref.get(&node) {
-                    Point::new(snap_x[v], snap_y[v])
-                } else {
-                    match node {
-                        NodeRef::Macro(id) => initial_ref.macro_center(id),
-                        NodeRef::Cell(id) => initial_ref.cell_center(id),
-                        NodeRef::Pad(id) => design.pad(id).position,
-                    }
-                }
-            };
-            let var_of = |node: NodeRef| var_index.get(&node).copied();
-
+            // Each axis reads only its own coordinates, so the y system
+            // still sees the positions the x solve started from.
             for (axis, pos, anchor, half, lo, hi) in [
                 (
                     Axis::X,
@@ -241,7 +210,7 @@ impl GlobalPlacer {
                 ),
                 (Axis::Y, &mut ys, &anchor_y, &half_h, region.y, region.top()),
             ] {
-                let (mut a, mut b) = build_system(design, axis, &var_of, &pos_of, n);
+                let (mut a, mut b) = build_system(&table, axis, pos);
                 if let Some(anchors) = anchor {
                     // Anchor strength is relative to each node's own net
                     // connectivity so spreading forces keep pace with
@@ -257,7 +226,7 @@ impl GlobalPlacer {
                 }
                 let out = cg::solve_pooled(
                     &self.pool,
-                    &a.to_csr(),
+                    &a.into_csr(),
                     &b,
                     pos,
                     cfg.cg_tol,
@@ -324,25 +293,9 @@ impl GlobalPlacer {
         if let (Some(ax), Some(ay)) = (&anchor_x, &anchor_y) {
             xs[..n].copy_from_slice(&ax[..n]);
             ys[..n].copy_from_slice(&ay[..n]);
-            let snap_x = xs.clone();
-            let snap_y = ys.clone();
-            let initial_ref = &initial;
-            let var_ref = &var_index;
-            let pos_of = move |node: NodeRef| -> Point {
-                if let Some(&v) = var_ref.get(&node) {
-                    Point::new(snap_x[v], snap_y[v])
-                } else {
-                    match node {
-                        NodeRef::Macro(id) => initial_ref.macro_center(id),
-                        NodeRef::Cell(id) => initial_ref.cell_center(id),
-                        NodeRef::Pad(id) => design.pad(id).position,
-                    }
-                }
-            };
-            let var_of = |node: NodeRef| var_index.get(&node).copied();
             let final_w = anchor_w.max(0.5);
             for (axis, pos, anchors) in [(Axis::X, &mut xs, ax), (Axis::Y, &mut ys, ay)] {
-                let (mut a, mut b) = build_system(design, axis, &var_of, &pos_of, n);
+                let (mut a, mut b) = build_system(&table, axis, pos);
                 let diag = a.diagonal();
                 // mmp-lint: allow(float-reduction) why: sequential sum over the diagonal slice, order fixed by construction
                 let mean_diag = diag.iter().sum::<f64>() / (n as f64).max(1.0);
@@ -353,7 +306,7 @@ impl GlobalPlacer {
                 }
                 let out = cg::solve_pooled(
                     &self.pool,
-                    &a.to_csr(),
+                    &a.into_csr(),
                     &b,
                     pos,
                     cfg.cg_tol,
@@ -375,14 +328,14 @@ impl GlobalPlacer {
             ys[i] = ys[i].clamp(l, h);
         }
 
+        // Columns are the movable macros, then every cell.
         let mut out = initial;
-        for (i, &node) in movables.iter().enumerate() {
-            let p = Point::new(xs[i], ys[i]);
-            match node {
-                NodeRef::Macro(id) => out.set_macro_center(id, p),
-                NodeRef::Cell(id) => out.set_cell_center(id, p),
-                NodeRef::Pad(_) => unreachable!("pads are never movable"),
-            }
+        let mut centers = xs.iter().zip(&ys).map(|(&x, &y)| Point::new(x, y));
+        for (&id, p) in movable_macros.iter().zip(centers.by_ref()) {
+            out.set_macro_center(id, p);
+        }
+        for (i, p) in centers.enumerate() {
+            out.set_cell_center(CellId::from_index(i), p);
         }
         out
     }
@@ -425,7 +378,7 @@ mod tests {
         }
         for i in 0..d.cells().len() {
             random.set_cell_center(
-                mmp_netlist::CellId::from_index(i),
+                CellId::from_index(i),
                 Point::new(
                     r.x + rng.gen::<f64>() * r.width,
                     r.y + rng.gen::<f64>() * r.height,
@@ -447,7 +400,7 @@ mod tests {
         let placed = placer.place_mixed(&d);
         // Cells must not all sit at one point: measure the spatial spread.
         let xs: Vec<f64> = (0..d.cells().len())
-            .map(|i| placed.cell_center(mmp_netlist::CellId::from_index(i)).x)
+            .map(|i| placed.cell_center(CellId::from_index(i)).x)
             .collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// t.add(1, 0, -1.0);
 /// t.add(1, 1, 2.0);
 /// t.add(0, 0, 1.0); // accumulates onto (0,0)
-/// let m = t.to_csr();
+/// let m = t.into_csr();
 /// assert_eq!(m.multiply(&[1.0, 1.0]), vec![2.0, 1.0]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -74,35 +74,47 @@ impl Triplets {
     }
 
     /// Converts to CSR, summing duplicates and dropping exact zeros.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
+    ///
+    /// The entries are sorted in place by `(row, col)` with
+    /// `sort_unstable_by_key`, and the duplicates of one key are summed
+    /// from `0.0` in the order that sort leaves them. That order is part of
+    /// the result: with three or more duplicates a different order (a
+    /// stable sort, or another standard library's unstable sort) can move
+    /// the last bit of the sum.
+    pub fn into_csr(mut self) -> CsrMatrix {
+        self.entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
         let mut row_ptr = Vec::with_capacity(self.n + 1);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0usize);
-        let mut k = 0usize;
-        for row in 0..self.n as u32 {
-            while k < sorted.len() && sorted[k].0 == row {
-                let col = sorted[k].1;
-                let mut v = 0.0;
-                while k < sorted.len() && sorted[k].0 == row && sorted[k].1 == col {
-                    v += sorted[k].2;
-                    k += 1;
-                }
-                if v != 0.0 {
-                    col_idx.push(col);
-                    values.push(v);
-                }
+        for run in self.entries.chunk_by(|p, q| (p.0, p.1) == (q.0, q.1)) {
+            let Some(&(row, col, _)) = run.first() else {
+                continue;
+            };
+            // Close every row before this one.
+            row_ptr.resize(row_ptr.len().max(row as usize + 1), col_idx.len());
+            let mut v = 0.0;
+            for &(_, _, x) in run {
+                v += x;
             }
-            row_ptr.push(col_idx.len());
+            if v != 0.0 {
+                col_idx.push(col);
+                values.push(v);
+            }
         }
+        row_ptr.resize(self.n + 1, col_idx.len());
         CsrMatrix {
             n: self.n,
             row_ptr,
             col_idx,
             values,
         }
+    }
+
+    /// The raw entries in insertion order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[(u32, u32, f64)] {
+        &self.entries
     }
 }
 
@@ -219,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_multiplies_to_zero() {
-        let m = Triplets::new(3).to_csr();
+        let m = Triplets::new(3).into_csr();
         assert_eq!(m.multiply(&[1.0, 2.0, 3.0]), vec![0.0; 3]);
         assert_eq!(m.nnz(), 0);
     }
@@ -229,7 +241,7 @@ mod tests {
         let mut t = Triplets::new(2);
         t.add(1, 1, 1.0);
         t.add(1, 1, 2.5);
-        let m = t.to_csr();
+        let m = t.into_csr();
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.get(1, 1), 3.5);
     }
@@ -239,7 +251,7 @@ mod tests {
         let mut t = Triplets::new(2);
         t.add(0, 1, 1.0);
         t.add(0, 1, -1.0);
-        let m = t.to_csr();
+        let m = t.into_csr();
         assert_eq!(m.nnz(), 0);
     }
 
@@ -251,7 +263,7 @@ mod tests {
         t.add(0, 1, -1.0);
         t.add(1, 0, -1.0);
         t.add(1, 1, 2.0);
-        let m = t.to_csr();
+        let m = t.into_csr();
         assert_eq!(m.multiply(&[3.0, 4.0]), vec![2.0, 5.0]);
         assert!(m.is_symmetric(0.0));
         assert_eq!(m.diagonal(), vec![2.0, 2.0]);
@@ -267,8 +279,40 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn multiply_length_mismatch_panics() {
-        let m = Triplets::new(2).to_csr();
+        let m = Triplets::new(2).into_csr();
         let _ = m.multiply(&[1.0]);
+    }
+
+    /// Canary for the order in which `into_csr` sums duplicates: 600
+    /// entries over the 64 keys of an 8×8 matrix (5 to 16 per key), with
+    /// magnitudes from 1e-3 to 1e3 so that summing any key's duplicates in
+    /// another order moves bits. The hash was recorded from commit
+    /// d00d66f; a stable sort of the same entries hashes to
+    /// 9821156039158034638. When a toolchain update changes the standard
+    /// library's unstable sort, this fails alongside the determinism
+    /// suite's pinned constants.
+    #[test]
+    fn duplicate_summation_order_matches_the_recorded_hash() {
+        let mut t = Triplets::new(8);
+        let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..600 {
+            s = s
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let mag = [1e-3, 0.1, 1.0, 37.0, 1e3][(s >> 20) as usize % 5];
+            let v = ((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * mag;
+            t.add((s >> 33) as usize % 8, (s >> 45) as usize % 8, v);
+        }
+        let m = t.into_csr();
+        assert_eq!(m.nnz(), 64);
+        let hash = m
+            .values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(hash, 15_778_239_591_973_627_821);
     }
 
     proptest! {
@@ -283,7 +327,7 @@ mod tests {
                 t.add(r, c, v);
                 dense[r][c] += v;
             }
-            let m = t.to_csr();
+            let m = t.into_csr();
             let got = m.multiply(&x);
             for r in 0..6 {
                 let want: f64 = (0..6).map(|c| dense[r][c] * x[c]).sum();

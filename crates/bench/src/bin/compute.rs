@@ -7,7 +7,7 @@
 //! MMP_SMOKE=1 cargo run --release -p mmp-bench --bin compute # CI smoke
 //! ```
 //!
-//! Measures, against the scalar [`reference`](mmp_nn::matmul::reference)
+//! Measures, against the scalar [`reference`](mod@reference)
 //! kernels the tiled path is bitwise-verified against:
 //!
 //! * `gemm` — square-GEMM GFLOP/s, tiled vs reference;
@@ -314,7 +314,7 @@ fn grid_laplacian(side: usize) -> mmp_analytic::CsrMatrix {
             }
         }
     }
-    t.to_csr()
+    t.into_csr()
 }
 
 fn bench_cg(pool: &ThreadPool, side: usize, reps: usize) -> (CgRow, Vec<u64>) {

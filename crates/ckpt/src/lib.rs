@@ -28,7 +28,7 @@
 //! detects flipped payload bytes; the length field detects truncation (a
 //! partially-written or cut file).
 //!
-//! [`write`] is atomic on POSIX rename semantics: the payload goes to a
+//! [`write()`] is atomic on POSIX rename semantics: the payload goes to a
 //! sibling temp file, is flushed with `fsync`, and is renamed over the
 //! final path, so a crash mid-write leaves either the old checkpoint or
 //! none — never a half-written one. Readers classify every failure as a
@@ -231,7 +231,7 @@ pub fn write(path: &Path, payload: &[u8]) -> Result<(), CkptError> {
     write_at_version(path, payload, FORMAT_VERSION)
 }
 
-/// [`write`] through an explicit [`Vfs`] handle, reporting the
+/// [`write()`] through an explicit [`Vfs`] handle, reporting the
 /// directory-fsync outcome.
 ///
 /// # Errors
@@ -241,7 +241,7 @@ pub fn write_with(vfs: &Vfs, path: &Path, payload: &[u8]) -> Result<WriteReceipt
     write_at_version_with(vfs, path, payload, FORMAT_VERSION)
 }
 
-/// [`write`] with an explicit format version.
+/// [`write()`] with an explicit format version.
 ///
 /// Production code always writes [`FORMAT_VERSION`]; the fault harness
 /// uses this to manufacture validly-checksummed envelopes from a *future*

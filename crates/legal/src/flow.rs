@@ -337,7 +337,7 @@ impl MacroLegalizer {
                 .iter()
                 .map(|p| if axis == 0 { p.x } else { p.y })
                 .collect();
-            let sol = cg::solve(&a.to_csr(), &b, &warm, self.cg_tol, self.cg_max_iters);
+            let sol = cg::solve(&a.into_csr(), &b, &warm, self.cg_tol, self.cg_max_iters);
             let (lo, hi) = if axis == 0 {
                 (region.x, region.right())
             } else {
@@ -468,7 +468,7 @@ impl MacroLegalizer {
                     }
                 })
                 .collect();
-            let sol = cg::solve(&a.to_csr(), &b, &warm, self.cg_tol, self.cg_max_iters);
+            let sol = cg::solve(&a.into_csr(), &b, &warm, self.cg_tol, self.cg_max_iters);
             // Clamp each macro inside its group's grid cell ("the boundaries
             // of macros are limited inside their own grids").
             for (v, &id) in vars.iter().enumerate() {

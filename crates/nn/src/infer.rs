@@ -30,7 +30,7 @@ use mmp_pool::ThreadPool;
 /// dispatches through.
 ///
 /// Both kinds obey the summation-order contract of
-/// [`matmul`](crate::matmul) and therefore produce bitwise-identical
+/// [`matmul`](mod@crate::matmul) and therefore produce bitwise-identical
 /// outputs; [`KernelKind::Reference`] exists so benchmarks can measure the
 /// scalar baseline through an unmodified forward pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -12,7 +12,7 @@
 //! tiling of the `(i, j)` space — including the production 4×8 register
 //! tile, the runtime-sized tiles used by the proptests, and any disjoint
 //! row partition a thread pool might apply — produces **bitwise identical**
-//! results to the scalar [`reference`] kernels. The SIMD speedup comes from
+//! results to the scalar [`reference`](mod@reference) kernels. The SIMD speedup comes from
 //! mapping vector lanes across output *columns* (a broadcast-saxpy form),
 //! which keeps each element's sum serial and therefore order-exact.
 //!

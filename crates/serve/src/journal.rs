@@ -13,7 +13,7 @@
 //! check, CRC payload check, atomic temp→fsync→rename), so a daemon
 //! killed mid-write leaves either the previous state or the new one —
 //! never garbage the next life would trip over. On restart,
-//! [`scan`] classifies each job directory: a readable `report.ckpt`
+//! [`Journal::scan`] classifies each job directory: a readable `report.ckpt`
 //! means the job finished (keep the stored response); a readable
 //! `request.ckpt` without one means the job was interrupted and must be
 //! re-run — resuming from whatever its `ckpt/` ladder holds, which is

@@ -179,6 +179,15 @@ fn pooled_flow_is_bitwise_deterministic_across_two_runs_and_worker_counts() {
 
 /// FNV-1a hash of the trained agent's JSON, recorded from commit 573fd9b
 /// (x86-64, glibc libm).
+///
+/// The `PINNED_*` constants depend on three inputs besides the code: the
+/// architecture, libm, and the standard library's unstable sort, because
+/// `Triplets::into_csr` sums duplicate matrix entries in the order
+/// `sort_unstable_by_key` leaves them. CI installs a floating `stable`
+/// toolchain, so a Rust release that changes that sort can fail these
+/// tests on unchanged code; `mmp-analytic`'s
+/// `duplicate_summation_order_matches_the_recorded_hash` then fails too
+/// and names the cause.
 const PINNED_AGENT_JSON_FNV1A: u64 = 9_114_452_914_176_466_202;
 /// `to_bits()` of the final HPWL, recorded alongside
 /// [`PINNED_AGENT_JSON_FNV1A`].
